@@ -38,7 +38,7 @@ from .sysml_ast import (
     resolve,
     walk,
 )
-from .sysml_text import EmitConfig, emit, parse_sysml
+from .sysml_text import emit, parse_sysml
 from .mapper import (
     MappingOptions,
     MappingReport,
@@ -65,7 +65,6 @@ __all__ = [
     "Diagnostic",
     "Element",
     "ElementKind",
-    "EmitConfig",
     "EnvConstraint",
     "Flow",
     "IdRef",

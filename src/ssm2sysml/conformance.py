@@ -15,6 +15,7 @@ by definition name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .diagnostics import Diagnostic, Severity
@@ -36,34 +37,10 @@ class Rule:
 
 
 class _Context:
-    """Shared per-check working state: index, helpers, result sink."""
+    """Per-check state: the model index plus facts several rules share."""
 
     def __init__(self, model: Element) -> None:
-        self.model = model
         self.index = ModelIndex(model)
-        self.pairs = self.index.pairs
-
-    def path_text(self, element: Element) -> str:
-        path = self.index.path_of.get(id(element))
-        return qname_text(path) if path else element.name or "<anonymous>"
-
-    def ancestors(self, element: Element) -> list[tuple[Element, QName]]:
-        """Enclosing elements, innermost first."""
-        path = self.index.path_of.get(id(element))
-        if path is None:
-            return []
-        out = []
-        for cut in range(len(path) - 1, 0, -1):
-            prefix = path[:cut]
-            if prefix in self.index.by_path:
-                out.append((self.index.by_path[prefix], prefix))
-        return out
-
-    def enclosing(self, element: Element, kinds: frozenset[ElementKind]) -> Element | None:
-        for ancestor, _ in self.ancestors(element):
-            if ancestor.kind in kinds:
-                return ancestor
-        return None
 
     def roles(self, element: Element, inherited: bool = True) -> set[str]:
         """CATWOE role labels tagged on (or inherited by) the element."""
@@ -80,58 +57,45 @@ class _Context:
                         labels.add(value.literal)
         return labels
 
-    def subset_targets(self, element: Element) -> list[Element]:
-        """Resolvable subsetting targets of the element."""
-        out = []
-        for rel in element.rels(RelKind.SUBSETS):
-            target = self.index.resolve_target(element, rel.target)
-            if target is not None:
-                out.append(target)
-        return out
-
-    def is_inside(self, element: Element, container: Element) -> bool:
-        outer = self.index.path_of.get(id(container))
-        inner = self.index.path_of.get(id(element))
-        return (
-            outer is not None
-            and inner is not None
-            and len(inner) > len(outer)
-            and inner[: len(outer)] == outer
-        )
+    @cached_property
+    def transformation_use_cases(self) -> list[tuple[Element, QName]]:
+        return [
+            (element, path)
+            for element, path in self.index.pairs
+            if element.kind is ElementKind.USE_CASE
+            and "Transformation" in self.roles(element)
+        ]
 
 
 _USE_CASES = frozenset({ElementKind.USE_CASE, ElementKind.USE_CASE_DEF})
 _ALL_ROLES = ("Customer", "Actor", "Transformation", "Worldview", "Owner", "Environment")
 
 
-def _diag(rule: "Rule", ctx: _Context, element: Element, detail: str) -> Diagnostic:
-    return Diagnostic(
-        rule.id,
-        rule.severity,
-        ctx.path_text(element),
-        element.span,
-        f"[{rule.id}] {ctx.path_text(element)}: {detail}",
-    )
+def _diag(rule_id: str, element: Element, path: QName, detail: str) -> Diagnostic:
+    rule = _RULE_BY_ID[rule_id]
+    return Diagnostic(rule.id, rule.severity, qname_text(path), element.span, detail)
 
 
 def _check_act_1(ctx: _Context) -> list[Diagnostic]:
+    index = ctx.index
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in index.pairs:
         if element.kind is not ElementKind.ACTOR:
             continue
-        ucase = ctx.enclosing(element, _USE_CASES)
+        ucase = index.enclosing(path, _USE_CASES)
         if ucase is None:
             continue
         ok = any(
-            target.kind is ElementKind.INDIVIDUAL and not ctx.is_inside(target, ucase)
-            for target in ctx.subset_targets(element)
+            target.kind is ElementKind.INDIVIDUAL
+            and index.path_of[id(target)][: len(ucase)] != ucase
+            for target in index.targets(element, RelKind.SUBSETS)
         )
         if not ok:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-ACT-1"],
-                    ctx,
+                    "R-ACT-1",
                     element,
+                    path,
                     "actor usage does not subset an individual occurrence "
                     "declared outside the use case",
                 )
@@ -141,19 +105,19 @@ def _check_act_1(ctx: _Context) -> list[Diagnostic]:
 
 def _check_stk_1(ctx: _Context) -> list[Diagnostic]:
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is not ElementKind.STAKEHOLDER:
             continue
         ok = any(
             target.kind is ElementKind.INDIVIDUAL
-            for target in ctx.subset_targets(element)
+            for target in ctx.index.targets(element, RelKind.SUBSETS)
         )
         if not ok:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-STK-1"],
-                    ctx,
+                    "R-STK-1",
                     element,
+                    path,
                     "stakeholder usage does not subset an individual occurrence",
                 )
             )
@@ -162,7 +126,7 @@ def _check_stk_1(ctx: _Context) -> list[Diagnostic]:
 
 def _check_env_1(ctx: _Context) -> list[Diagnostic]:
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind not in (ElementKind.REQUIREMENT, ElementKind.REQUIREMENT_DEF):
             continue
         typing = element.typing()
@@ -177,9 +141,9 @@ def _check_env_1(ctx: _Context) -> list[Diagnostic]:
         if not has_constraint:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-ENV-1"],
-                    ctx,
+                    "R-ENV-1",
                     element,
+                    path,
                     "environmental-constraint requirement carries no "
                     "require/assume/assert constraint",
                 )
@@ -198,7 +162,7 @@ def _rationale_text(element: Element) -> str | None:
 
 def _check_wvw_1(ctx: _Context) -> list[Diagnostic]:
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is not ElementKind.VIEWPOINT:
             continue
         if "Worldview" not in ctx.roles(element):
@@ -207,35 +171,25 @@ def _check_wvw_1(ctx: _Context) -> list[Diagnostic]:
         if not text:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-WVW-1"],
-                    ctx,
+                    "R-WVW-1",
                     element,
+                    path,
                     "worldview viewpoint lacks rationale metadata with nonempty text",
                 )
             )
     return out
 
 
-def _transformation_use_cases(ctx: _Context) -> list[Element]:
-    return [
-        element
-        for element, _ in ctx.pairs
-        if element.kind is ElementKind.USE_CASE
-        and "Transformation" in ctx.roles(element)
-    ]
-
-
 def _check_trf_1(ctx: _Context) -> list[Diagnostic]:
     out = []
-    rule = _RULE_BY_ID["R-TRF-1"]
-    for element in _transformation_use_cases(ctx):
+    for element, path in ctx.transformation_use_cases:
         subjects = [c for c in element.children if c.kind is ElementKind.SUBJECT]
         if len(subjects) != 1:
             out.append(
                 _diag(
-                    rule,
-                    ctx,
+                    "R-TRF-1",
                     element,
+                    path,
                     f"transformation use case declares {len(subjects)} subjects "
                     "(exactly one required)",
                 )
@@ -248,19 +202,19 @@ def _check_trf_1(ctx: _Context) -> list[Diagnostic]:
         if not any(obj.rels(RelKind.REFERENCES) for obj in objectives):
             out.append(
                 _diag(
-                    rule,
-                    ctx,
+                    "R-TRF-1",
                     element,
+                    path,
                     "transformation use case objective references no requirement",
                 )
             )
     return out
 
 
-def _subject_target(ctx: _Context, element: Element) -> Element | None:
+def _subject_target(index: ModelIndex, element: Element) -> Element | None:
     for child in element.children:
         if child.kind is ElementKind.SUBJECT:
-            targets = ctx.subset_targets(child)
+            targets = index.targets(child, RelKind.SUBSETS)
             if targets:
                 return targets[0]
     return None
@@ -269,22 +223,22 @@ def _subject_target(ctx: _Context, element: Element) -> Element | None:
 def _check_sub_1(ctx: _Context) -> list[Diagnostic]:
     uc_subjects = {
         id(target)
-        for ucase in _transformation_use_cases(ctx)
-        if (target := _subject_target(ctx, ucase)) is not None
+        for ucase, _ in ctx.transformation_use_cases
+        if (target := _subject_target(ctx.index, ucase)) is not None
     }
     if not uc_subjects:
         return []
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is not ElementKind.CONCERN:
             continue
-        target = _subject_target(ctx, element)
+        target = _subject_target(ctx.index, element)
         if target is not None and id(target) not in uc_subjects:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-SUB-1"],
-                    ctx,
+                    "R-SUB-1",
                     element,
+                    path,
                     "concern subject differs from every transformation "
                     "use case subject",
                 )
@@ -294,31 +248,29 @@ def _check_sub_1(ctx: _Context) -> list[Diagnostic]:
 
 def _check_view_1(ctx: _Context) -> list[Diagnostic]:
     out = []
-    rule = _RULE_BY_ID["R-VIEW-1"]
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is ElementKind.VIEW and not element.rels(RelKind.SATISFIES):
-            out.append(_diag(rule, ctx, element, "view satisfies no viewpoint"))
+            out.append(_diag("R-VIEW-1", element, path, "view satisfies no viewpoint"))
         elif element.kind is ElementKind.VIEWPOINT and not element.rels(RelKind.FRAMES):
-            out.append(_diag(rule, ctx, element, "viewpoint frames no concern"))
+            out.append(_diag("R-VIEW-1", element, path, "viewpoint frames no concern"))
     return out
 
 
 def _check_ind_1(ctx: _Context) -> list[Diagnostic]:
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is not ElementKind.INDIVIDUAL:
             continue
         ok = any(
-            (target := ctx.index.resolve_target(element, rel.target)) is not None
-            and target.kind is ElementKind.INDIVIDUAL_DEF
-            for rel in element.rels(RelKind.TYPING)
+            target.kind is ElementKind.INDIVIDUAL_DEF
+            for target in ctx.index.targets(element, RelKind.TYPING)
         )
         if not ok:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-IND-1"],
-                    ctx,
+                    "R-IND-1",
                     element,
+                    path,
                     "individual occurrence is not typed by an individual definition",
                 )
             )
@@ -326,27 +278,30 @@ def _check_ind_1(ctx: _Context) -> list[Diagnostic]:
 
 
 def _check_cat_1(ctx: _Context) -> list[Diagnostic]:
+    transformations = {id(ucase) for ucase, _ in ctx.transformation_use_cases}
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is not ElementKind.PACKAGE:
             continue
-        transformation_inside = any(
-            ucase is element or ctx.is_inside(ucase, element)
-            for ucase in _transformation_use_cases(ctx)
-        )
-        if not transformation_inside:
+        # The package itself and every element strictly below its path.
+        members = [
+            member
+            for member, inner in ctx.index.pairs
+            if member is element
+            or (len(inner) > len(path) and inner[: len(path)] == path)
+        ]
+        if not any(id(member) in transformations for member in members):
             continue
         present: set[str] = set()
-        for member, _ in ctx.pairs:
-            if member is element or ctx.is_inside(member, element):
-                present |= ctx.roles(member, inherited=False)
+        for member in members:
+            present |= ctx.roles(member, inherited=False)
         missing = [label for label in _ALL_ROLES if label not in present]
         if missing:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-CAT-1"],
-                    ctx,
+                    "R-CAT-1",
                     element,
+                    path,
                     "transformation package is missing CATWOE tags: "
                     + ", ".join(missing),
                 )
@@ -357,12 +312,12 @@ def _check_cat_1(ctx: _Context) -> list[Diagnostic]:
 def _check_own_1(ctx: _Context) -> list[Diagnostic]:
     referenced = {
         id(target)
-        for element, _ in ctx.pairs
+        for element, _ in ctx.index.pairs
         if element.kind is ElementKind.STAKEHOLDER
-        for target in ctx.subset_targets(element)
+        for target in ctx.index.targets(element, RelKind.SUBSETS)
     }
     out = []
-    for element, _ in ctx.pairs:
+    for element, path in ctx.index.pairs:
         if element.kind is not ElementKind.INDIVIDUAL:
             continue
         if "Owner" not in ctx.roles(element):
@@ -370,9 +325,9 @@ def _check_own_1(ctx: _Context) -> list[Diagnostic]:
         if id(element) not in referenced:
             out.append(
                 _diag(
-                    _RULE_BY_ID["R-OWN-1"],
-                    ctx,
+                    "R-OWN-1",
                     element,
+                    path,
                     "owner-tagged individual is not referenced by any "
                     "stakeholder usage",
                 )

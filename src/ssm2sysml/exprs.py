@@ -206,13 +206,3 @@ def _render(expr: Expr, parent_prec: int) -> str:
     right = _render(expr.right, prec + 1)
     body = f"{left} {expr.op} {right}"
     return f"({body})" if prec < parent_prec else body
-
-
-def walk_expr(expr: Expr):
-    """Yield every node of the tree, preorder."""
-    yield expr
-    if isinstance(expr, Unary):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)

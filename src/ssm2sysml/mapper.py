@@ -202,7 +202,7 @@ def _rd_names(
 
 
 # ---------------------------------------------------------------------------
-# Sub-mappings (each also usable standalone with default naming)
+# Sub-mappings (called by map_context)
 
 
 def map_individuals(ctx: SsmContext) -> tuple[Element, ...]:
@@ -263,17 +263,6 @@ def individual_roles(ctx: SsmContext) -> dict[str, set[CatwoeRole]]:
     return roles
 
 
-def map_environmental_constraints(
-    rd: RootDefinition, options: MappingOptions = DEFAULT_OPTIONS
-) -> tuple[Element, ...]:
-    """Shared Environment-tagged definition plus one requirement per EC."""
-    env_def = environment_def(options)
-    names = {ec.id: ec.id for ec in rd.environmental_constraints}
-    return (env_def,) + tuple(
-        _ec_requirement(ec, names, options) for ec in rd.environmental_constraints
-    )
-
-
 def environment_def(options: MappingOptions = DEFAULT_OPTIONS) -> Element:
     return Element(
         ElementKind.REQUIREMENT_DEF,
@@ -316,22 +305,6 @@ def map_actor_pattern(rd: RootDefinition, ucase: Element) -> Element:
         for ref in rd.actors
     )
     return ucase.with_children(ucase.children + actors)
-
-
-def map_worldview_owner(
-    rd: RootDefinition, options: MappingOptions = DEFAULT_OPTIONS
-) -> tuple[Element, Element, Element]:
-    """Owner concern + stakeholder, viewpoint with rationale, blank view."""
-    names = _default_names(rd, options)
-    return (
-        _owner_concern(rd, names, options),
-        _viewpoint(rd, names, options),
-        _view(names, options),
-    )
-
-
-def _default_names(rd: RootDefinition, options: MappingOptions) -> _RdNames:
-    return _rd_names(rd, options, suffixed=False, claim=lambda name: name)
 
 
 def _concern_subject(names: _RdNames) -> Element:
@@ -381,13 +354,6 @@ def _view(names: _RdNames, options: MappingOptions) -> Element:
     )
 
 
-def map_customer(
-    rd: RootDefinition, options: MappingOptions = DEFAULT_OPTIONS
-) -> Element:
-    """Customer concern holding one stakeholder usage per customer."""
-    return _customer_concern(rd, _default_names(rd, options), options)
-
-
 def _customer_concern(
     rd: RootDefinition, names: _RdNames, options: MappingOptions
 ) -> Element:
@@ -407,19 +373,6 @@ def _customer_concern(
         relationships=_typing(options.customer_concern_def),
         children=(_concern_subject(names),) + stakeholders,
         span=rd.span,
-    )
-
-
-def map_transformation(
-    rd: RootDefinition,
-    cm: ConceptualModel | None,
-    options: MappingOptions = DEFAULT_OPTIONS,
-) -> tuple[Element, Element]:
-    """Use case definition plus the enclosing part (subject + use case)."""
-    names = _default_names(rd, options)
-    return (
-        _use_case_def(names, options),
-        _transformation_part(rd, cm, names, options),
     )
 
 

@@ -122,12 +122,6 @@ class SsmContext:
     conceptual_models: tuple[ConceptualModel, ...] = ()
     span: SourceSpan | None = field(default=None, compare=False)
 
-    def individual(self, id: str) -> Individual | None:
-        for ind in self.individuals:
-            if ind.id == id:
-                return ind
-        return None
-
     def root_definition(self, id: str) -> RootDefinition | None:
         for rd in self.root_definitions:
             if rd.id == id:

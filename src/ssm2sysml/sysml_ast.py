@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Union
+from typing import Container, Iterator, Union
 
 from .errors import AmbiguousName, UnknownElement
 from .exprs import Expr
@@ -241,18 +241,14 @@ def package(name: str, *children: Element, **kwargs) -> Element:
 # --- traversal and resolution ------------------------------------------------
 
 
-def walk(model: Element, visitor: Callable[[Element, QName], None] | None = None):
+def walk(model: Element) -> list[tuple[Element, QName]]:
     """Depth-first, document-order traversal visiting every element once.
 
     Returns (element, path) pairs; the path uses synthesized segments
     (`kind@index`) for unnamed elements so every node has a unique,
-    stable address.  If `visitor` is given it is called per element.
+    stable address.
     """
-    pairs = list(iter_walk(model))
-    if visitor is not None:
-        for element, path in pairs:
-            visitor(element, path)
-    return pairs
+    return list(iter_walk(model))
 
 
 def iter_walk(model: Element) -> Iterator[tuple[Element, QName]]:
@@ -265,11 +261,6 @@ def _walk(element: Element, prefix: QName, index: int) -> Iterator[tuple[Element
     yield element, path
     for i, child in enumerate(element.children):
         yield from _walk(child, path, i)
-
-
-def element_paths(model: Element) -> dict[QName, Element]:
-    """Map every path in the model to its element (deterministic order)."""
-    return {path: el for el, path in iter_walk(model)}
 
 
 def resolve(model: Element, qualified_name: str | QName) -> Element:
@@ -298,6 +289,14 @@ def resolve(model: Element, qualified_name: str | QName) -> Element:
     return current
 
 
+def unknown_element(path: QName, known: Container[QName]) -> UnknownElement:
+    """The error for a missing `path`, naming its longest prefix in `known`."""
+    prefix = path[:-1]
+    while prefix and prefix not in known:
+        prefix = prefix[:-1]
+    return UnknownElement(qname_text(path), qname_text(prefix))
+
+
 def _lookup_child(element: Element, name: str) -> Element | None:
     matches = [c for c in element.children if c.name == name]
     if len(matches) > 1:
@@ -306,7 +305,12 @@ def _lookup_child(element: Element, name: str) -> Element | None:
 
 
 class ModelIndex:
-    """Precomputed path/identity indices for repeated lookups over one model."""
+    """Path and identity indices over one model.
+
+    The only code that resolves relationship targets and walks
+    ancestors; check, build_graph and render_view each build one per
+    call and share it across their rules and queries.
+    """
 
     def __init__(self, model: Element) -> None:
         self.model = model
@@ -334,34 +338,45 @@ class ModelIndex:
             return None
         return self.resolve_relative(owner, target)
 
+    def targets(self, element: Element, kind: RelKind) -> list[Element]:
+        """Resolvable targets of the element's `kind` relationships, in order."""
+        found = []
+        for rel in element.rels(kind):
+            target = self.resolve_target(element, rel.target)
+            if target is not None:
+                found.append(target)
+        return found
+
+    def enclosing(self, path: QName, kinds: frozenset[ElementKind]) -> QName | None:
+        """Path of the innermost proper ancestor whose kind is in `kinds`."""
+        for cut in range(len(path) - 1, 0, -1):
+            owner = self.by_path.get(path[:cut])
+            if owner is not None and owner.kind in kinds:
+                return path[:cut]
+        return None
+
     def effective_metadata(self, element: Element) -> tuple[Element, ...]:
         """Own metadata applications plus those inherited through typing.
 
         A usage inherits the tags of its definition; specialization
-        chains propagate transitively.  Typing cycles are tolerated.
+        chains propagate transitively.  Each element reachable through
+        typing contributes once, so typing cycles terminate and the
+        result does not depend on which element was asked about first.
         """
-        return self._effective_metadata(element, set())
-
-    def _effective_metadata(self, element: Element, visiting: set[int]) -> tuple[Element, ...]:
         key = id(element)
-        if key in self._meta_cache:
-            return self._meta_cache[key]
-        if key in visiting:
-            return element.metadata_applications()
-        visiting.add(key)
-        apps = list(element.metadata_applications())
-        for rel in element.rels(RelKind.TYPING):
-            target = self.resolve_target(element, rel.target)
-            if target is not None:
-                apps.extend(self._effective_metadata(target, visiting))
-        visiting.discard(key)
-        result = tuple(apps)
-        self._meta_cache[key] = result
-        return result
-
-
-def resolve_relative(model: Element, owner_path: QName, target: QName) -> Element | None:
-    return ModelIndex(model).resolve_relative(owner_path, target)
+        if key not in self._meta_cache:
+            apps: list[Element] = []
+            seen = {key}
+            stack = [element]
+            while stack:
+                current = stack.pop()
+                apps.extend(current.metadata_applications())
+                for target in reversed(self.targets(current, RelKind.TYPING)):
+                    if id(target) not in seen:
+                        seen.add(id(target))
+                        stack.append(target)
+            self._meta_cache[key] = tuple(apps)
+        return self._meta_cache[key]
 
 
 def duplicate_names(model: Element) -> list[QName]:
@@ -376,13 +391,3 @@ def duplicate_names(model: Element) -> list[QName]:
                 bad.append(path + (child.name,))
             seen.add(child.name)
     return bad
-
-
-def count_elements(element: Element) -> int:
-    """Independent recursive size counter (used to cross-check walk)."""
-    return 1 + sum(count_elements(c) for c in element.children)
-
-
-def effective_metadata(model: Element, element: Element) -> tuple[Element, ...]:
-    """Convenience wrapper over ModelIndex.effective_metadata."""
-    return ModelIndex(model).effective_metadata(element)

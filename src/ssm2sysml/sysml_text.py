@@ -1,13 +1,12 @@
 """Deterministic emitter and parser for the SysML v2 textual subset.
 
-`emit` is a pure function of (model, config) and produces byte-identical
+`emit` is a pure function of the model and produces byte-identical
 text for structurally equal models; `parse_sysml` is its inverse on the
 subset.  Grammar reference: docs/GRAMMAR.md.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedConstruct, UnsupportedElement
 from .exprs import Expr, expr_to_text, parse_expr, parse_operand
@@ -87,34 +86,20 @@ _STATEMENT_REL = {
 _STATEMENT_KEYWORD_TO_REL = {v: k for k, v in _STATEMENT_REL.items()}
 
 
-@dataclass(frozen=True)
-class EmitConfig:
-    indent_width: int = 4
-    newline: str = "\n"
-
-    def __post_init__(self) -> None:
-        if self.indent_width < 1:
-            raise ValueError("indent_width must be >= 1")
-
-
-DEFAULT_CONFIG = EmitConfig()
+_INDENT = "    "
 
 
 # ---------------------------------------------------------------------------
 # Emitter
 
 
-def emit(model: Element, cfg: EmitConfig = DEFAULT_CONFIG) -> str:
+def emit(model: Element) -> str:
     """Render a package in the subset grammar, LF-terminated."""
     if model.kind is not ElementKind.PACKAGE:
         raise UnsupportedElement("emit expects a package root")
     lines: list[str] = []
-    _emit_element(model, 0, lines, cfg)
-    return cfg.newline.join(lines) + cfg.newline
-
-
-def _indent(depth: int, cfg: EmitConfig) -> str:
-    return " " * (cfg.indent_width * depth)
+    _emit_element(model, 0, lines)
+    return "\n".join(lines) + "\n"
 
 
 def name_text(name: str) -> str:
@@ -180,8 +165,8 @@ def _filter_text(expr: FilterExpr, parent_prec: int) -> str:
     return f"({body})" if prec < parent_prec else body
 
 
-def _emit_element(el: Element, depth: int, lines: list[str], cfg: EmitConfig) -> None:
-    pad = _indent(depth, cfg)
+def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
+    pad = _INDENT * depth
 
     if el.kind is ElementKind.COMMENT:
         lines.append(f"{pad}comment {_block_text(el.doc or '', 'comment')}")
@@ -236,7 +221,7 @@ def _emit_element(el: Element, depth: int, lines: list[str], cfg: EmitConfig) ->
         return
 
     declarator = _declarator(el)
-    body = _body_lines(el, depth + 1, cfg)
+    body = _body_lines(el, depth + 1)
     if body:
         lines.append(f"{pad}{declarator} {{")
         lines.extend(body)
@@ -286,8 +271,8 @@ def _declarator(el: Element) -> str:
     return " ".join(bits)
 
 
-def _body_lines(el: Element, depth: int, cfg: EmitConfig) -> list[str]:
-    pad = _indent(depth, cfg)
+def _body_lines(el: Element, depth: int) -> list[str]:
+    pad = _INDENT * depth
     out: list[str] = []
     if el.doc is not None:
         out.append(f"{pad}doc {_block_text(el.doc, 'doc')}")
@@ -304,7 +289,7 @@ def _body_lines(el: Element, depth: int, cfg: EmitConfig) -> list[str]:
     if el.filter is not None:
         out.append(f"{pad}filter {filter_to_text(el.filter)};")
     for child in el.children:
-        _emit_element(child, depth, out, cfg)
+        _emit_element(child, depth, out)
     for assignment in el.assignments:
         out.append(
             f"{pad}assign {qname_to_text(assignment.target)} := "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownElement, UnknownMetadataDef, UnknownType
+from .errors import UnknownMetadataDef, UnknownType
 from .exprs import Expr
 from .sysml_ast import (
     Element,
@@ -41,6 +41,7 @@ from .sysml_ast import (
     RelKind,
     qname,
     qname_text,
+    unknown_element,
 )
 
 EDGE_KINDS = frozenset(
@@ -96,28 +97,17 @@ def build_graph(model: Element) -> TraceGraph:
         if source in node_set and target in node_set:
             edges.append(TraceEdge(source, target, kind))
 
-    def target_path(element: Element, target: QName) -> QName | None:
-        resolved = index.resolve_target(element, target)
-        return index.path_of.get(id(resolved)) if resolved is not None else None
-
-    def enclosing(path: QName, kinds: frozenset[ElementKind]) -> QName | None:
-        for cut in range(len(path) - 1, 0, -1):
-            prefix = path[:cut]
-            owner = index.by_path.get(prefix)
-            if owner is not None and owner.kind in kinds:
-                return prefix
-        return None
-
     use_cases = frozenset({ElementKind.USE_CASE, ElementKind.USE_CASE_DEF})
     concerns = frozenset({ElementKind.CONCERN, ElementKind.CONCERN_DEF})
 
     for element, path in index.pairs:
         in_objective = element.kind is ElementKind.REQUIREMENT and element.is_objective
-        ucase_path = enclosing(path, use_cases)
-        concern_path = enclosing(path, concerns)
+        ucase_path = index.enclosing(path, use_cases)
+        concern_path = index.enclosing(path, concerns)
 
         for rel in element.relationships:
-            resolved = target_path(element, rel.target)
+            target = index.resolve_target(element, rel.target)
+            resolved = None if target is None else index.path_of[id(target)]
             if rel.kind is RelKind.TYPING:
                 add(path, resolved, "typedBy")
             elif rel.kind is RelKind.REDEFINES:
@@ -154,15 +144,10 @@ def build_graph(model: Element) -> TraceGraph:
             resolved = index.resolve_target(element, element.performer)
             if resolved is not None and resolved.kind is ElementKind.ACTOR:
                 # Trace through the local actor usage to the occurrence.
-                for rel in resolved.rels(RelKind.SUBSETS):
-                    occurrence = index.resolve_target(resolved, rel.target)
-                    if occurrence is not None:
-                        add(path, index.path_of.get(id(occurrence)), "performs")
-                        break
-                else:
-                    add(path, index.path_of.get(id(resolved)), "performs")
-            elif resolved is not None:
-                add(path, index.path_of.get(id(resolved)), "performs")
+                occurrences = index.targets(resolved, RelKind.SUBSETS)
+                resolved = occurrences[0] if occurrences else resolved
+            if resolved is not None:
+                add(path, index.path_of[id(resolved)], "performs")
 
     return TraceGraph(nodes, tuple(edges))
 
@@ -179,10 +164,7 @@ def reach(
     path = qname(start) if isinstance(start, str) else start
     node_set = set(graph.nodes)
     if path not in node_set:
-        prefix = path[:-1]
-        while prefix and prefix not in node_set:
-            prefix = prefix[:-1]
-        raise UnknownElement(qname_text(path), qname_text(prefix))
+        raise unknown_element(path, node_set)
     adjacency = graph.forward() if direction == "forward" else graph.backward()
     seen = {path}
     frontier = [path]
@@ -209,7 +191,10 @@ def evaluate_filter(model: Element, expr: FilterExpr) -> set[QName]:
     UnknownMetadataDef / UnknownType when an atom names nothing in the
     model.
     """
-    index = ModelIndex(model)
+    return _evaluate_filter(ModelIndex(model), expr)
+
+
+def _evaluate_filter(index: ModelIndex, expr: FilterExpr) -> set[QName]:
     _validate_atoms(index, expr)
     return {
         path for element, path in index.pairs if _matches(index, element, expr)
@@ -304,10 +289,7 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
         view = index.by_path.get(full)
         path = full if view is not None else path
     if view is None or view.kind is not ElementKind.VIEW:
-        prefix = path[:-1]
-        while prefix and prefix not in index.by_path:
-            prefix = prefix[:-1]
-        raise UnknownElement(qname_text(path), qname_text(prefix))
+        raise unknown_element(path, index.by_path)
 
     exposed: set[QName] = set()
     for rel in view.rels(RelKind.EXPOSES):
@@ -319,7 +301,7 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
             p for _, p in index.pairs if p[: len(root)] == root
         }
     if view.filter is not None and exposed:
-        exposed &= evaluate_filter(model, view.filter)
+        exposed &= _evaluate_filter(index, view.filter)
 
     report = _grouped_report(index, view, exposed)
     return exposed, report

@@ -8,9 +8,15 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from ssm2sysml import map_context, parse_ssm, parse_sysml
+from ssm2sysml import Element, map_context, parse_ssm, parse_sysml
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def count_elements(element: Element) -> int:
+    """Independent recursive size counter (used to cross-check walk)."""
+    return 1 + sum(count_elements(c) for c in element.children)
+
 
 # One verdict line per acceptance criterion, echoed after the run
 # (plain prints inside passing tests are swallowed by capture).

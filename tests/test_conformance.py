@@ -110,6 +110,26 @@ def test_diagnostic_text_and_json_shape(case_model):
     assert payload["element"] == "Context.EC2"
 
 
+@pytest.mark.parametrize(
+    "rule_id,mutate",
+    [(rule_id, mutate) for rule_id, _, mutate in MUTATIONS],
+    ids=[rule_id for rule_id, _, _ in MUTATIONS],
+)
+def test_message_carries_only_the_detail(case_model, rule_id, mutate):
+    (diag,) = check(mutate(case_model))
+    assert diag.to_text().count(rule_id) == 1
+    assert rule_id not in diag.message
+    assert diag.element_path not in diag.message
+
+
+def test_json_message_starts_with_the_detail(case_model):
+    by_id = {rid: fn for rid, _, fn in MUTATIONS}
+    (diag,) = check(by_id["R-ACT-1"](case_model))
+    assert diag.to_json()["message"].startswith(
+        "actor usage does not subset an individual occurrence"
+    )
+
+
 def test_empty_package_is_conformant():
     from ssm2sysml.sysml_ast import package
 

@@ -1,0 +1,164 @@
+"""One shared ModelIndex per check, build_graph and render_view call.
+
+`recorded_outputs.json` holds the diagnostics (rule, severity, element,
+span), graph edges and view results that the implementation
+in which each of check, trace and view walked ancestors and resolved
+targets on its own computed for the models below.  The shared index
+must reproduce them exactly.  To record again after a deliberate change
+of outputs, run `PYTHONPATH=src python tests/test_model_index.py`.
+"""
+from __future__ import annotations
+
+import functools
+import json
+import pathlib
+import sys
+from dataclasses import astuple, replace
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+
+from ssm2sysml import (
+    Element,
+    ElementKind,
+    UnknownMetadataDef,
+    UnknownType,
+    build_graph,
+    check,
+    map_context,
+    parse_ssm,
+    parse_sysml,
+    render_view,
+)
+from ssm2sysml.exprs import EnumLit
+from ssm2sysml.sysml_ast import (
+    FAnd,
+    FHasMeta,
+    FKind,
+    FMetaEq,
+    FNot,
+    FTyped,
+    ModelIndex,
+    RelKind,
+    Relationship,
+    iter_walk,
+)
+
+from model_gen import gen_model
+from mutations import MUTATIONS
+from ssm_gen import gen_context
+
+HERE = pathlib.Path(__file__).resolve().parent
+DATA = HERE.parent / "data"
+RECORDED = HERE / "recorded_outputs.json"
+GEN_SEEDS = range(40)
+SSM_SEEDS = range(8)
+
+
+def _view(name: str, exposed: tuple[str, ...], filter=None) -> Element:
+    return Element(
+        ElementKind.VIEW,
+        name=name,
+        relationships=tuple(Relationship(RelKind.EXPOSES, (t,)) for t in exposed),
+        filter=filter,
+    )
+
+
+PROBE_VIEWS = (
+    _view("all", ("transformationSystem", "resources", "EC2")),
+    _view("tagged", ("transformationSystem",), FHasMeta(("CATWOE",))),
+    _view(
+        "actors",
+        ("transformationSystem", "customerConcern"),
+        FMetaEq(("CATWOE",), "element", EnumLit(("CatwoeElement",), "Actor")),
+    ),
+    _view("env", ("EC1", "EC2", "manager"), FNot(FTyped(("EnvironmentalConstraints",)))),
+    _view("people", ("manager", "it", "newHire"), FAnd(FKind("individual"), FTyped(("Employee",)))),
+    _view("nothing", ("noSuchElement",), FHasMeta(("CATWOE",))),
+    _view("badMeta", ("resources",), FHasMeta(("Nonesuch",))),
+    _view("badType", ("resources",), FTyped(("Nonesuch",))),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _models() -> dict[str, Element]:
+    case = map_context(parse_ssm((DATA / "case_study.ssm").read_text(), "case_study.ssm"))[0]
+    models = {
+        "case": case,
+        "kettle": parse_sysml((DATA / "kettle.sysml").read_text(), "kettle.sysml"),
+        "case+views": replace(case, children=case.children + PROBE_VIEWS),
+    }
+    for rule_id, _, mutate in MUTATIONS:
+        models[f"case/{rule_id}"] = mutate(case)
+    for seed in GEN_SEEDS:
+        models[f"gen{seed}"] = gen_model(seed)
+    for seed in SSM_SEEDS:
+        models[f"ssm{seed}"] = map_context(gen_context(seed))[0]
+    return models
+
+
+def _snapshot(model: Element) -> dict:
+    graph = build_graph(model)
+    assert graph.nodes == tuple(path for _, path in iter_walk(model))
+    views: dict[str, object] = {}
+    for element, path in iter_walk(model):
+        if element.kind is not ElementKind.VIEW:
+            continue
+        try:
+            elements, report = render_view(model, path)
+        except (UnknownMetadataDef, UnknownType) as exc:
+            views[".".join(path)] = type(exc).__name__
+        else:
+            views[".".join(path)] = [sorted(elements), report]
+    snapshot = {
+        "diagnostics": [
+            [d.rule_id, str(d.severity), d.element_path, d.span and astuple(d.span)]
+            for d in check(model)
+        ],
+        "edges": [[e.source, e.target, e.kind] for e in graph.edges],
+        "views": views,
+    }
+    return json.loads(json.dumps(snapshot))
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(RECORDED.read_text())
+
+
+def test_recording_covers_every_model(recorded):
+    assert sorted(recorded) == sorted(_models())
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_outputs_match_recording(recorded, name):
+    assert _snapshot(_models()[name]) == recorded[name]
+
+
+def test_one_index_per_call(monkeypatch):
+    built = []
+    original = ModelIndex.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        original(self, model)
+
+    monkeypatch.setattr(ModelIndex, "__init__", counting_init)
+    model = _models()["case+views"]
+    for call in (
+        lambda: check(model),
+        lambda: build_graph(model),
+        lambda: render_view(model, "tagged"),
+        lambda: render_view(model, "all"),
+    ):
+        built.clear()
+        call()
+        assert built == [model]
+
+
+if __name__ == "__main__":
+    RECORDED.write_text(
+        json.dumps({name: _snapshot(m) for name, m in _models().items()}, separators=(",", ":"))
+        + "\n"
+    )

@@ -45,8 +45,6 @@ def test_golden_context_is_valid(case_ctx):
 
 
 def test_context_lookups(case_ctx):
-    assert case_ctx.individual("manager").display_name == "HR Manager"
-    assert case_ctx.individual("nobody") is None
     assert case_ctx.root_definition("assignLicense").owner.id == "it"
     assert case_ctx.root_definition("nothing") is None
 

@@ -10,15 +10,13 @@ from ssm2sysml.sysml_ast import (
     Multiplicity,
     RelKind,
     Relationship,
-    count_elements,
     duplicate_names,
-    effective_metadata,
-    element_paths,
     package,
     qname,
     qname_text,
 )
 
+from conftest import count_elements
 from model_gen import gen_model
 
 
@@ -36,9 +34,8 @@ def test_walk_count_on_generated_models(seed):
     assert len(walk(model)) == count_elements(model)
 
 
-def test_walk_visitor_sees_every_element(case_model):
-    seen = []
-    walk(case_model, lambda el, path: seen.append(path))
+def test_walk_sees_every_element(case_model):
+    seen = [path for _, path in walk(case_model)]
     assert len(seen) == count_elements(case_model)
 
 
@@ -97,7 +94,7 @@ def test_resolve_relative_accepts_root_qualified_path(case_model):
 
 def test_effective_metadata_inherits_through_typing(case_model):
     ec1 = resolve(case_model, "Context.EC1")
-    tags = effective_metadata(case_model, ec1)
+    tags = ModelIndex(case_model).effective_metadata(ec1)
     literals = {
         value.literal
         for app in tags
@@ -112,7 +109,7 @@ def test_effective_metadata_transitive_two_levels(case_model):
     uc = resolve(case_model, "Context.transformationSystem.assignLicense")
     literals = {
         value.literal
-        for app in effective_metadata(case_model, uc)
+        for app in ModelIndex(case_model).effective_metadata(uc)
         for _, value in app.bindings
         if isinstance(value, EnumLit)
     }
@@ -136,6 +133,31 @@ def test_effective_metadata_tolerates_typing_cycles():
     # Termination is the contract; duplicates through the cycle are fine.
     assert {app.meta_def for app in index.effective_metadata(a)} == {("M",)}
     assert {app.meta_def for app in index.effective_metadata(b)} == {("M",)}
+
+
+def test_effective_metadata_is_independent_of_query_order():
+    def part_def(name, types, tag):
+        return Element(
+            ElementKind.PART_DEF,
+            name=name,
+            relationships=tuple(Relationship(RelKind.TYPING, (t,)) for t in types),
+            children=(Element(ElementKind.METADATA, meta_def=(tag,)),),
+        )
+
+    b = part_def("B", ("C", "E"), "MB")
+    c = part_def("C", ("B",), "MC")
+    e = part_def("E", (), "ME")
+    model = package("P", b, c, e)
+    everything = {("MB",), ("MC",), ("ME",)}
+    for order in ((b, c, e), (c, b, e), (e, c, b)):
+        index = ModelIndex(model)
+        tags = {
+            el.name: {app.meta_def for app in index.effective_metadata(el)}
+            for el in order
+        }
+        assert tags == {"B": everything, "C": everything, "E": {("ME",)}}
+    # Each reachable element contributes its applications once.
+    assert len(ModelIndex(model).effective_metadata(c)) == 3
 
 
 def test_duplicate_names_detection():
@@ -167,8 +189,8 @@ def test_qname_helpers():
     assert qname_text(("a", "b")) == "a.b"
 
 
-def test_element_paths_mapping(kettle_model):
-    mapping = element_paths(kettle_model)
+def test_index_by_path_maps_every_path(kettle_model):
+    mapping = ModelIndex(kettle_model).by_path
     assert mapping[("Kettle",)] is kettle_model
     assert len(mapping) == count_elements(kettle_model)
 

@@ -6,7 +6,6 @@ import pytest
 from ssm2sysml import (
     Element,
     ElementKind,
-    EmitConfig,
     ParseError,
     UnsupportedConstruct,
     emit,
@@ -60,13 +59,6 @@ def test_corpus_covers_every_kind_and_relationship():
 
 def test_emit_is_deterministic(case_model):
     assert emit(case_model) == emit(case_model)
-
-
-def test_alternate_indent_round_trips(case_model):
-    cfg = EmitConfig(indent_width=2)
-    text = emit(case_model, cfg)
-    assert parse_sysml(text, "two") == case_model
-    assert emit(parse_sysml(text, "two"), cfg) == text
 
 
 def test_non_canonical_whitespace_normalizes():

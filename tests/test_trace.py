@@ -31,12 +31,16 @@ from ssm2sysml.sysml_ast import (
     FTyped,
     RelKind,
     Relationship,
-    count_elements,
     iter_walk,
     qname_text,
 )
 from ssm2sysml.exprs import EnumLit, Lit
 from ssm2sysml.trace_view import EDGE_KINDS, query_json
+
+from conftest import count_elements
+from model_gen import gen_model
+
+ORACLE_SEEDS = range(10)
 
 GOLDEN_KINDS = frozenset(
     {"frames", "satisfies", "subsets", "objectiveOf", "performs", "subjectOf"}
@@ -63,13 +67,14 @@ def _bfs_oracle(graph: TraceGraph, start, direction, kinds):
     return seen
 
 
-def test_graph_shape(case_model):
-    graph = build_graph(case_model)
-    assert len(graph.nodes) == count_elements(case_model)
-    node_set = set(graph.nodes)
-    for edge in graph.edges:
-        assert edge.source in node_set and edge.target in node_set
-        assert edge.kind in EDGE_KINDS
+def test_graph_shape(case_model, kettle_model):
+    for model in [case_model, kettle_model] + [gen_model(s) for s in ORACLE_SEEDS]:
+        graph = build_graph(model)
+        assert len(graph.nodes) == count_elements(model)
+        node_set = set(graph.nodes)
+        for edge in graph.edges:
+            assert edge.source in node_set and edge.target in node_set
+            assert edge.kind in EDGE_KINDS
 
 
 def test_edge_kinds_catalog():
@@ -112,7 +117,7 @@ def test_golden_backward_query(case_model):
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_reach_matches_independent_bfs(case_model, direction):
+def test_reach_matches_independent_bfs(case_model, kettle_model, direction):
     graph = build_graph(case_model)
     samples = [
         ("Context", "resources"),
@@ -125,6 +130,13 @@ def test_reach_matches_independent_bfs(case_model, direction):
             assert reach(graph, start, direction, kinds) == _bfs_oracle(
                 graph, start, direction, kinds
             )
+    for model in [kettle_model] + [gen_model(s) for s in ORACLE_SEEDS]:
+        graph = build_graph(model)
+        for start in graph.nodes:
+            for kinds in (None, GOLDEN_KINDS):
+                assert reach(graph, start, direction, kinds) == _bfs_oracle(
+                    graph, start, direction, kinds
+                )
 
 
 def test_reach_includes_start_and_accepts_string(case_model):
