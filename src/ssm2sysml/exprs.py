@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .lexing import IDENT, NUMBER, PUNCTUATION, STRING, Token, TokenStream, lex
+from .lexing import IDENT, NUMBER, STRING, TokenStream, lex, quote
 
 Expr = Union["Ref", "Lit", "EnumLit", "Unary", "Binary"]
 
@@ -183,9 +183,7 @@ def _render(expr: Expr, parent_prec: int) -> str:
         if isinstance(expr.value, bool):
             return "true" if expr.value else "false"
         if isinstance(expr.value, str):
-            escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"')
-            escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-            return f'"{escaped}"'
+            return quote(expr.value)
         return repr(expr.value)
     if isinstance(expr, Ref):
         return ".".join(expr.path)

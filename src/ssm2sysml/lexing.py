@@ -1,8 +1,11 @@
-"""Hand-rolled lexer shared by the `.ssm` and `.sysml` front ends.
+"""Lexer shared by the `.ssm` and `.sysml` front ends, and their literal format.
 
 Both languages use the same token shapes (identifiers, strings, numbers,
 punctuation); they differ only in comment style and in whether quoted
-names and ``/* ... */`` text blocks are legal.
+names and ``/* ... */`` text blocks are legal.  Each notation has one
+compiled master pattern whose named groups are the token kinds, so
+every token costs one match.  `quote` and `IDENT_RE` are the printers'
+side of the same format: what they write, `lex` reads back unchanged.
 """
 from __future__ import annotations
 
@@ -14,38 +17,6 @@ from .source import SourceSpan
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Longest-match first.
-PUNCT = (
-    ":>>",
-    ":>",
-    "::",
-    ":=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "->",
-    "..",
-    "{",
-    "}",
-    ";",
-    ":",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "(",
-    ")",
-    "[",
-    "]",
-    ".",
-    ",",
-    "@",
-)
-
 IDENT = "ident"
 STRING = "string"
 QNAME = "qident"  # single-quoted unrestricted name ('License Allocation')
@@ -53,6 +24,42 @@ NUMBER = "number"
 PUNCTUATION = "punct"
 BLOCKTEXT = "blocktext"  # /* ... */ payload
 EOF = "eof"
+
+_LAYOUT = "layout"  # whitespace and line comments, dropped
+_OPEN_BLOCK = "openblock"  # "/*" with no closing "*/"; must win over "/"
+
+_UNESCAPE = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+# Longest first: alternation takes the first punctuator that matches.
+_PUNCT = ":>> :> :: := == != <= >= -> .. { } ; : = < > + - * / ( ) [ ] . , @".split()
+
+
+def _body(mark: str) -> str:
+    """String content up to `mark`: no raw newline, only escapes `lex` decodes."""
+    plain = rf"[^{mark}\\\n]*"
+    return rf"{plain}(?:\\[{re.escape(''.join(_UNESCAPE))}]{plain})*"
+
+
+def _master(style: str) -> re.Pattern[str]:
+    comment = "//" if style == "sysml" else "#"
+    groups = [
+        (_LAYOUT, rf"(?:[ \t\r\n]|{comment}[^\n]*)+"),
+        (IDENT, IDENT_RE.pattern),
+        (NUMBER, r"[0-9]+(?:\.[0-9]+)?"),
+        (STRING, '"' + _body('"') + '"'),
+    ]
+    if style == "sysml":
+        groups += [
+            (QNAME, "'" + _body("'") + "'"),
+            (BLOCKTEXT, r"/\*.*?\*/"),
+            (_OPEN_BLOCK, r"/\*"),
+        ]
+    groups.append((PUNCTUATION, "|".join(map(re.escape, _PUNCT))))
+    return re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups), re.DOTALL)
+
+
+_PATTERNS = {style: _master(style) for style in ("ssm", "sysml")}
 
 
 @dataclass(frozen=True)
@@ -65,128 +72,68 @@ class Token:
         return self.value if self.kind != EOF else "<end of input>"
 
 
+def quote(text: str, mark: str = '"') -> str:
+    """`text` as a string (`mark` `"`) or quoted name (`'`) that `lex` reads back."""
+    escaped = text.replace("\\", "\\\\").replace(mark, "\\" + mark)
+    return mark + escaped.replace("\n", "\\n").replace("\t", "\\t") + mark
+
+
+def _decode(escape: re.Match[str]) -> str:
+    return _UNESCAPE[escape.group(1)]
+
+
 def lex(source: str, file: str, style: str) -> list[Token]:
     """Tokenize `source`; `style` is 'ssm' or 'sysml'.
 
-    Always terminates: every loop iteration either consumes at least one
-    character or raises ParseError.
+    One match of the notation's master pattern per token.  Only layout
+    and block text can contain a newline, so only they move `line`.
     """
-    assert style in ("ssm", "sysml")
+    match = _PATTERNS[style].match
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def here() -> SourceSpan:
-        return SourceSpan.point(file, line, col)
-
-    def advance(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
+    line, col, pos, n = 1, 1, 0, len(source)
+    while pos < n:
+        m = match(source, pos)
+        kind = m and m.lastgroup
+        if kind is None or kind == _OPEN_BLOCK:
+            raise _fault(source, pos, style, SourceSpan.point(file, line, col))
+        text = m.group()
+        pos = m.end()
+        if kind == _LAYOUT or kind == BLOCKTEXT:
+            first_line, first_col = line, col
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                col = len(text) - text.rfind("\n")
             else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
+                col += len(text)
+            if kind == BLOCKTEXT:
+                span = SourceSpan(file, first_line, first_col, line, col)
+                tokens.append(Token(kind, text[2:-2], span))
             continue
-        if style == "ssm" and ch == "#":
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            advance(source[i:j])
-            i = j
-            continue
-        if style == "sysml" and source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            advance(source[i:j])
-            i = j
-            continue
-        if style == "sysml" and source.startswith("/*", i):
-            start = here()
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise ParseError(start, "unterminated /* ... */ block")
-            body = source[i + 2 : j]
-            advance(source[i : j + 2])
-            tokens.append(Token(BLOCKTEXT, body, start.to(here())))
-            i = j + 2
-            continue
-        if ch == '"' or (style == "sysml" and ch == "'"):
-            quote = ch
-            start = here()
-            j = i + 1
-            out: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseError(start, "unterminated string literal")
-                c = source[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise ParseError(start, "unterminated escape sequence")
-                    esc = source[j + 1]
-                    if esc == "n":
-                        out.append("\n")
-                    elif esc == "t":
-                        out.append("\t")
-                    elif esc in ("\\", '"', "'"):
-                        out.append(esc)
-                    else:
-                        raise ParseError(
-                            SourceSpan.point(file, line, col),
-                            f"unknown escape sequence \\{esc}",
-                        )
-                    j += 2
-                elif c == quote:
-                    j += 1
-                    break
-                elif c == "\n":
-                    raise ParseError(start, "newline inside string literal")
-                else:
-                    out.append(c)
-                    j += 1
-            advance(source[i:j])
-            kind = STRING if quote == '"' else QNAME
-            tokens.append(Token(kind, "".join(out), start.to(here())))
-            i = j
-            continue
-        if ch.isdigit():
-            start = here()
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            # A '.' starts a fraction only if not '..' and followed by a digit.
-            if j + 1 < n and source[j] == "." and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            advance(source[i:j])
-            tokens.append(Token(NUMBER, source[i:j], start.to(here())))
-            i = j
-            continue
-        m = IDENT_RE.match(source, i)
-        if m:
-            start = here()
-            advance(m.group())
-            tokens.append(Token(IDENT, m.group(), start.to(here())))
-            i = m.end()
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                start = here()
-                advance(p)
-                tokens.append(Token(PUNCTUATION, p, start.to(here())))
-                i += len(p)
-                break
-        else:
-            raise ParseError(here(), f"unexpected character {ch!r}", found=ch)
-
-    tokens.append(Token(EOF, "", here()))
+        end = col + len(text)
+        if kind == STRING or kind == QNAME:
+            text = _ESCAPE_RE.sub(_decode, text[1:-1])
+        tokens.append(Token(kind, text, SourceSpan(file, line, col, line, end)))
+        col = end
+    tokens.append(Token(EOF, "", SourceSpan.point(file, line, col)))
     return tokens
+
+
+def _fault(source: str, pos: int, style: str, at: SourceSpan) -> ParseError:
+    """The error for `pos`, where no token of `style` matches."""
+    if source.startswith("/*", pos):
+        return ParseError(at, "unterminated /* ... */ block")
+    mark = source[pos]
+    if mark == '"' or (mark == "'" and style == "sysml"):
+        stop = re.compile(_body(mark)).match(source, pos + 1).end()
+        if stop == len(source):
+            return ParseError(at, "unterminated string literal")
+        if source[stop] == "\n":
+            return ParseError(at, "newline inside string literal")
+        if stop + 1 == len(source):
+            return ParseError(at, "unterminated escape sequence")
+        return ParseError(at, f"unknown escape sequence \\{source[stop + 1]}")
+    return ParseError(at, f"unexpected character {mark!r}", found=mark)
 
 
 class TokenStream:

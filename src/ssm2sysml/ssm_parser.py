@@ -29,8 +29,8 @@ optional on input; the formatter always writes them.
 from __future__ import annotations
 
 from .errors import ParseError
-from .exprs import Expr, expr_to_text, parse_expr, parse_expr_text
-from .lexing import EOF, IDENT, STRING, Token, TokenStream, lex
+from .exprs import Expr, expr_to_text, parse_expr_text
+from .lexing import EOF, IDENT, STRING, Token, TokenStream, lex, quote
 from .source import SourceSpan
 from .ssm_model import (
     Activity,
@@ -380,12 +380,6 @@ def _parse_conceptual_model(ts: TokenStream) -> ConceptualModel:
 # Formatter
 
 
-def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{escaped}"'
-
-
 def format_ssm(ctx: SsmContext) -> str:
     """Canonical `.ssm` text; parse_ssm(format_ssm(ctx)) == ctx structurally."""
     out: list[str] = [f"context {ctx.name} {{"]
@@ -394,7 +388,7 @@ def format_ssm(ctx: SsmContext) -> str:
     for person in ctx.individuals:
         out.append(
             f"{ind}individual {person.id} : {person.definition_type} "
-            f"{_quote(person.display_name)}"
+            f"{quote(person.display_name)}"
         )
 
     for rd in ctx.root_definitions:
@@ -404,7 +398,7 @@ def format_ssm(ctx: SsmContext) -> str:
         out.append(f"{body}actor " + " ".join(a.id for a in rd.actors) + " ;")
         out.append(f"{body}owner {rd.owner.id} ;")
         tr = rd.transformation
-        out.append(f"{body}transformation {_quote(tr.statement)} {{")
+        out.append(f"{body}transformation {quote(tr.statement)} {{")
         inner = ind * 3
         out.append(f"{inner}subject {tr.subject_name} : {tr.subject_type} ;")
         for name, type_name in tr.inputs:
@@ -412,11 +406,11 @@ def format_ssm(ctx: SsmContext) -> str:
         for name, type_name in tr.outputs:
             out.append(f"{inner}output {name} : {type_name} ;")
         out.append(f"{body}}} ;")
-        out.append(f"{body}worldview {_quote(rd.worldview)} ;")
+        out.append(f"{body}worldview {quote(rd.worldview)} ;")
         for ec in rd.environmental_constraints:
-            line = f"{body}environmental-constraint {ec.id} {_quote(ec.text)}"
+            line = f"{body}environmental-constraint {ec.id} {quote(ec.text)}"
             if ec.expr is not None:
-                line += f" {ec.kind} {_quote(expr_to_text(ec.expr))}"
+                line += f" {ec.kind} {quote(expr_to_text(ec.expr))}"
             if ec.refines is not None:
                 line += f" refines {ec.refines.id}"
             out.append(line + " ;")
@@ -427,13 +421,13 @@ def format_ssm(ctx: SsmContext) -> str:
         body = ind * 2
         for act in cm.activities:
             out.append(
-                f"{body}activity {act.id} {_quote(act.label)} by {act.performed_by.id} ;"
+                f"{body}activity {act.id} {quote(act.label)} by {act.performed_by.id} ;"
             )
         for flow in cm.flows:
             out.append(f"{body}flow {flow.source.id} -> {flow.target.id} ;")
         for mon in cm.monitors:
             targets = ", ".join(c.id for c in mon.controls)
-            out.append(f"{body}monitor {mon.id} {_quote(mon.label)} controls {targets} ;")
+            out.append(f"{body}monitor {mon.id} {quote(mon.label)} controls {targets} ;")
         out.append(f"{ind}}}")
 
     out.append("}")

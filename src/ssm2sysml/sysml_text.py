@@ -6,11 +6,9 @@ subset.  Grammar reference: docs/GRAMMAR.md.
 """
 from __future__ import annotations
 
-import re
-
 from .errors import ParseError, UnsupportedConstruct, UnsupportedElement
 from .exprs import Expr, expr_to_text, parse_expr, parse_operand
-from .lexing import BLOCKTEXT, EOF, IDENT, NUMBER, QNAME, TokenStream, lex
+from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, NUMBER, QNAME, TokenStream, lex, quote
 from .sysml_ast import (
     Assignment,
     Element,
@@ -30,8 +28,6 @@ from .sysml_ast import (
     Relationship,
     Succession,
 )
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 RESERVED = frozenset(
     """package metadata enum attribute individual part item requirement objective
@@ -103,10 +99,9 @@ def emit(model: Element) -> str:
 
 
 def name_text(name: str) -> str:
-    if IDENT_RE.match(name) and name not in RESERVED:
+    if IDENT_RE.fullmatch(name) and name not in RESERVED:
         return name
-    escaped = name.replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{escaped}'"
+    return quote(name, "'")
 
 
 def qname_to_text(path: QName) -> str:

@@ -191,10 +191,7 @@ def evaluate_filter(model: Element, expr: FilterExpr) -> set[QName]:
     UnknownMetadataDef / UnknownType when an atom names nothing in the
     model.
     """
-    return _evaluate_filter(ModelIndex(model), expr)
-
-
-def _evaluate_filter(index: ModelIndex, expr: FilterExpr) -> set[QName]:
+    index = ModelIndex(model)
     _validate_atoms(index, expr)
     return {
         path for element, path in index.pairs if _matches(index, element, expr)
@@ -301,7 +298,11 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
             p for _, p in index.pairs if p[: len(root)] == root
         }
     if view.filter is not None and exposed:
-        exposed &= _evaluate_filter(index, view.filter)
+        _validate_atoms(index, view.filter)
+        exposed = {
+            p for element, p in index.pairs
+            if p in exposed and _matches(index, element, view.filter)
+        }
 
     report = _grouped_report(index, view, exposed)
     return exposed, report

@@ -36,7 +36,7 @@ PLAIN_NAMES = (
 )
 QUOTED_NAMES = (
     "License Allocation", "first", "then", "two words", "Dotted.Name",
-    "weird-name", "Ünit", "a'b",
+    "weird-name", "Ünit", "a'b", "line\nbreak", "tab\there", "back\\slash",
 )
 TYPE_NAMES = ("Widget", "Sensor", "Pump", "Resource", "Agent")
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
-from ssm2sysml.sysml_ast import Element, ElementKind, QName, RelKind, Relationship
+from ssm2sysml.sysml_ast import Element, ElementKind, RelKind, Relationship
 
 
 def edit(model: Element, path: tuple[str, ...], fn: Callable[[Element], Element | None]) -> Element:

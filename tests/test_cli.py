@@ -107,6 +107,32 @@ def test_compile_continues_after_failures(tmp_path, capsys):
     assert (out / "Context.sysml").exists()  # ... but good inputs still compile
 
 
+# A non-ASCII digit is a character `int()` rejects or reads as an ASCII one;
+# the lexer takes only [0-9] as digits, so it is a parse error (exit 2).
+NON_ASCII_DIGIT_INPUTS = [
+    ("compile", "digit.ssm",
+     'context C { root-definition rd { customer a ; actor a ; owner a ; '
+     'transformation "t" { subject s : S ; } ; worldview "w" ; '
+     'environmental-constraint e1 "txt" require "x > \u00b2" ; } }'),
+    ("check", "digit.sysml", "package P {\n    attribute a = \u00b2;\n}\n"),
+]
+
+
+@pytest.mark.parametrize("command, name, text", NON_ASCII_DIGIT_INPUTS, ids=["ssm", "sysml"])
+def test_non_ascii_digit_is_a_parse_error(tmp_path, command, name, text):
+    source = tmp_path / name
+    source.write_text(text, encoding="utf-8")
+    args = [command, str(source)] + (["-o", str(tmp_path / "o")] if command == "compile" else [])
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUTF8": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "ssm2sysml.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "unexpected character '\u00b2'" in done.stderr
+
+
 # --- check -------------------------------------------------------------------
 
 

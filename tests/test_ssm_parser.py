@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssm2sysml import ParseError, format_ssm, parse_ssm
@@ -130,6 +130,11 @@ def test_string_escapes_round_trip():
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=120))
+@example("\u00b2")
+@example(
+    'context C { root-definition rd { customer a ; actor a ; owner a ; transformation "t" '
+    '{ subject s : S ; } ; worldview "w" ; environmental-constraint e "x" require "\u00b2" ; } }'
+)
 def test_fuzz_terminates_with_parse_error_or_context(text):
     try:
         parse_ssm(text)
@@ -139,6 +144,7 @@ def test_fuzz_terminates_with_parse_error_or_context(text):
 
 @settings(max_examples=100, deadline=None)
 @given(st.text(alphabet='context individual {}":;abP \n', max_size=200))
+@example("\u00b2")
 def test_fuzz_near_grammar(text):
     try:
         parse_ssm(text)

@@ -75,11 +75,13 @@ def test_reserved_and_spaced_names_are_quoted():
         Element(ElementKind.PART, name="first"),
         Element(ElementKind.PART, name="two words"),
         Element(ElementKind.PART, name="a'b"),
+        Element(ElementKind.PART, name="new\nline\ttab\\"),
     )
     text = emit(model)
     assert "part 'first';" in text
     assert "part 'two words';" in text
     assert "part 'a\\'b';" in text
+    assert "part 'new\\nline\\ttab\\\\';" in text
     assert parse_sysml(text, "q") == model
 
 
