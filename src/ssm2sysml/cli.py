@@ -36,12 +36,14 @@ def _print_diag(diag: Diagnostic, color: bool) -> None:
     print(diag.to_text(color), file=sys.stderr)
 
 
-def _load_sysml(path: str, color: bool):
-    """Parse one .sysml file, or print the error and return None."""
+def _load(parse, path: str):
+    """`parse` of one UTF-8 file, or None after printing why it failed."""
     try:
-        return parse_sysml(Path(path).read_text(), path)
+        return parse(Path(path).read_text(encoding="utf-8"), path)
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})", file=sys.stderr)
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
     return None
@@ -54,14 +56,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     options = MappingOptions(state_pattern=frozenset(args.state_pattern))
     worst = OK
     for input_path in args.inputs:
-        try:
-            ctx = parse_ssm(Path(input_path).read_text(), input_path)
-        except OSError as exc:
-            print(f"{input_path}: {exc.strerror or exc}", file=sys.stderr)
-            worst = max(worst, FAULT)
-            continue
-        except ParseError as exc:
-            print(str(exc), file=sys.stderr)
+        ctx = _load(parse_ssm, input_path)
+        if ctx is None:
             worst = max(worst, FAULT)
             continue
         problems = validate_context(ctx)
@@ -74,7 +70,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         for warning in report.warnings:
             _print_diag(warning, color)
         target = out_dir / f"{ctx.name}.sysml"
-        target.write_text(emit(model))
+        target.write_text(emit(model), encoding="utf-8")
         if args.report:
             report_path = out_dir / f"{ctx.name}.report.json"
             report_path.write_text(
@@ -90,7 +86,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     worst = OK
     collected: list[Diagnostic] = []
     for input_path in args.inputs:
-        model = _load_sysml(input_path, color)
+        model = _load(parse_sysml, input_path)
         if model is None:
             worst = max(worst, FAULT)
             continue
@@ -111,7 +107,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    model = _load_sysml(args.model, _color_enabled())
+    model = _load(parse_sysml, args.model)
     if model is None:
         return FAULT
     kinds = None
@@ -141,7 +137,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_view(args: argparse.Namespace) -> int:
-    model = _load_sysml(args.model, _color_enabled())
+    model = _load(parse_sysml, args.model)
     if model is None:
         return FAULT
     try:

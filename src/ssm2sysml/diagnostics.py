@@ -15,7 +15,7 @@ class Severity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One finding: rule id, severity, offending element, location, message."""
 

@@ -15,19 +15,19 @@ from .lexing import IDENT, NUMBER, STRING, TokenStream, lex, quote
 Expr = Union["Ref", "Lit", "EnumLit", "Unary", "Binary"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     """Dot-qualified attribute or element path, e.g. license.availability."""
 
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: int | float | str | bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumLit:
     """Enum literal reference, e.g. CatwoeElement::Actor."""
 
@@ -35,13 +35,13 @@ class EnumLit:
     literal: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str  # 'not' or '-'
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str  # 'or' 'and' '==' '!=' '<' '<=' '>' '>=' '+' '-' '*' '/'
     left: Expr
@@ -53,11 +53,12 @@ _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _PREC = {"or": 1, "and": 2, "not": 3}
 _PREC.update({op: 4 for op in _CMP_OPS})
 _PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "neg": 7})
+_BINARY = {op: prec for op, prec in _PREC.items() if op not in ("not", "neg")}
 
 
 def parse_expr(ts: TokenStream) -> Expr:
     """Parse one expression from the stream, leaving trailing tokens."""
-    return _parse_or(ts)
+    return _parse(ts, _PREC["or"])
 
 
 def parse_operand(ts: TokenStream) -> Expr:
@@ -66,62 +67,35 @@ def parse_operand(ts: TokenStream) -> Expr:
     Used where an expression is followed by keywords that double as
     expression operators (e.g. view filter clauses).
     """
-    return _parse_add(ts)
+    return _parse(ts, _PREC["+"])
 
 
-def _parse_or(ts: TokenStream) -> Expr:
-    left = _parse_and(ts)
-    while ts.at("or"):
-        ts.take()
-        left = Binary("or", left, _parse_and(ts))
-    return left
+def _parse(ts: TokenStream, min_prec: int) -> Expr:
+    """The operators that bind at least as tightly as `min_prec` (precedence climbing).
 
-
-def _parse_and(ts: TokenStream) -> Expr:
-    left = _parse_not(ts)
-    while ts.at("and"):
-        ts.take()
-        left = Binary("and", left, _parse_not(ts))
-    return left
-
-
-def _parse_not(ts: TokenStream) -> Expr:
-    if ts.at("not"):
-        ts.take()
-        return Unary("not", _parse_not(ts))
-    return _parse_cmp(ts)
-
-
-def _parse_cmp(ts: TokenStream) -> Expr:
-    left = _parse_add(ts)
-    for op in _CMP_OPS:
-        if ts.at(op):
-            ts.take()
-            return Binary(op, left, _parse_add(ts))
-    return left
-
-
-def _parse_add(ts: TokenStream) -> Expr:
-    left = _parse_mul(ts)
-    while ts.at("+") or ts.at("-"):
-        op = ts.take().value
-        left = Binary(op, left, _parse_mul(ts))
-    return left
-
-
-def _parse_mul(ts: TokenStream) -> Expr:
-    left = _parse_unary(ts)
-    while ts.at("*") or ts.at("/"):
-        op = ts.take().value
-        left = Binary(op, left, _parse_unary(ts))
-    return left
-
-
-def _parse_unary(ts: TokenStream) -> Expr:
-    if ts.at("-"):
-        ts.take()
-        return Unary("-", _parse_unary(ts))
-    return _parse_atom(ts)
+    `not` takes a comparison as its operand and comparisons do not
+    chain, so after either only `and` and `or` may follow.
+    """
+    word = ts.keyword()
+    top = _PREC["*"]  # the tightest operator that may still follow
+    if word == "not" and min_prec <= _PREC["not"]:
+        ts.enter()
+        left = Unary("not", _parse(ts, _PREC["not"]))
+        ts.leave()
+        top = _PREC["not"]
+    elif word == "-":
+        ts.enter()
+        left = Unary("-", _parse(ts, _PREC["neg"]))
+        ts.leave()
+    else:
+        left = _parse_atom(ts)
+    while True:
+        prec = _BINARY.get(ts.keyword())
+        if prec is None or not min_prec <= prec <= top:
+            return left
+        left = Binary(ts.take().value, left, _parse(ts, prec + 1))
+        if prec <= _PREC["=="]:
+            top = _PREC["not"]
 
 
 def _parse_atom(ts: TokenStream) -> Expr:
@@ -133,9 +107,10 @@ def _parse_atom(ts: TokenStream) -> Expr:
         ts.take()
         return Lit(tok.value)
     if ts.at("("):
-        ts.take()
-        inner = _parse_or(ts)
+        ts.enter()
+        inner = _parse(ts, _PREC["or"])
         ts.expect(")")
+        ts.leave()
         return inner
     if tok.kind == IDENT:
         if tok.value == "true":

@@ -3,14 +3,15 @@
 Both languages use the same token shapes (identifiers, strings, numbers,
 punctuation); they differ only in comment style and in whether quoted
 names and ``/* ... */`` text blocks are legal.  Each notation has one
-compiled master pattern whose named groups are the token kinds, so
-every token costs one match.  `quote` and `IDENT_RE` are the printers'
-side of the same format: what they write, `lex` reads back unchanged.
+compiled master pattern: the layout before a token, then the token,
+whose named group is its kind, so every token costs one match.  `quote`
+and `IDENT_RE` are the printers' side of the same format: what they
+write, `lex` reads back unchanged.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .source import SourceSpan
@@ -25,10 +26,10 @@ PUNCTUATION = "punct"
 BLOCKTEXT = "blocktext"  # /* ... */ payload
 EOF = "eof"
 
-_LAYOUT = "layout"  # whitespace and line comments, dropped
-_OPEN_BLOCK = "openblock"  # "/*" with no closing "*/"; must win over "/"
+# Declarations, filters and expressions may nest this deep, together.
+MAX_NESTING = 256
 
-_UNESCAPE = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
+_UNESCAPE = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 # Longest first: alternation takes the first punctuator that matches.
@@ -42,31 +43,39 @@ def _body(mark: str) -> str:
 
 
 def _master(style: str) -> re.Pattern[str]:
+    """Layout, then a token or nothing (`lastgroup` None): never a backtrack into layout."""
     comment = "//" if style == "sysml" else "#"
-    groups = [
-        (_LAYOUT, rf"(?:[ \t\r\n]|{comment}[^\n]*)+"),
-        (IDENT, IDENT_RE.pattern),
-        (NUMBER, r"[0-9]+(?:\.[0-9]+)?"),
-        (STRING, '"' + _body('"') + '"'),
-    ]
+    punct = "|".join(map(re.escape, _PUNCT))
+    groups = [(IDENT, IDENT_RE.pattern), (NUMBER, r"[0-9]+(?:\.[0-9]+)?")]
+    groups.append((STRING, '"' + _body('"') + '"'))
     if style == "sysml":
-        groups += [
-            (QNAME, "'" + _body("'") + "'"),
-            (BLOCKTEXT, r"/\*.*?\*/"),
-            (_OPEN_BLOCK, r"/\*"),
-        ]
-    groups.append((PUNCTUATION, "|".join(map(re.escape, _PUNCT))))
-    return re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups), re.DOTALL)
+        groups += [(QNAME, "'" + _body("'") + "'"), (BLOCKTEXT, r"/\*.*?\*/")]
+        punct = rf"(?!/\*)(?:{punct})"  # a "/*" with no "*/" is a fault, not "/"
+    groups += [(PUNCTUATION, punct), (EOF, r"\Z")]
+    tokens = "|".join(f"(?P<{name}>{body})" for name, body in groups)
+    return re.compile(rf"(?:[ \t\r\n]+|{comment}[^\n]*)*(?:{tokens}|)", re.DOTALL)
 
 
 _PATTERNS = {style: _master(style) for style in ("ssm", "sysml")}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its value, its offsets, and its source's line table."""
+
     kind: str
     value: str
-    span: SourceSpan
+    start: int
+    end: int
+    file: str
+    lines: list[int]  # offsets of the source's line starts, shared by its tokens
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan.of_offsets(self.file, self.lines, self.start, self.end)
+
+    def through(self, last: Token) -> SourceSpan:
+        """The span from the start of this token to the end of `last`."""
+        return SourceSpan.of_offsets(self.file, self.lines, self.start, last.end)
 
     def __str__(self) -> str:
         return self.value if self.kind != EOF else "<end of input>"
@@ -74,8 +83,8 @@ class Token:
 
 def quote(text: str, mark: str = '"') -> str:
     """`text` as a string (`mark` `"`) or quoted name (`'`) that `lex` reads back."""
-    escaped = text.replace("\\", "\\\\").replace(mark, "\\" + mark)
-    return mark + escaped.replace("\n", "\\n").replace("\t", "\\t") + mark
+    escaped = text.replace("\\", "\\\\").replace(mark, "\\" + mark).replace("\n", "\\n")
+    return mark + escaped.replace("\r", "\\r").replace("\t", "\\t") + mark
 
 
 def _decode(escape: re.Match[str]) -> str:
@@ -85,42 +94,33 @@ def _decode(escape: re.Match[str]) -> str:
 def lex(source: str, file: str, style: str) -> list[Token]:
     """Tokenize `source`; `style` is 'ssm' or 'sysml'.
 
-    One match of the notation's master pattern per token.  Only layout
-    and block text can contain a newline, so only they move `line`.
+    One match of the master pattern per token, layout included.  Tokens
+    keep offsets and share `lines`, the table `Token.span` reads.
     """
+    lines = [0, *(m.end() for m in re.finditer("\n", source))]
     match = _PATTERNS[style].match
+    new = tuple.__new__  # skips the Python-level `Token.__new__`, a call per token
     tokens: list[Token] = []
-    line, col, pos, n = 1, 1, 0, len(source)
-    while pos < n:
+    pos = 0
+    while True:
         m = match(source, pos)
-        kind = m and m.lastgroup
-        if kind is None or kind == _OPEN_BLOCK:
-            raise _fault(source, pos, style, SourceSpan.point(file, line, col))
-        text = m.group()
+        kind = m.lastgroup
         pos = m.end()
-        if kind == _LAYOUT or kind == BLOCKTEXT:
-            first_line, first_col = line, col
-            breaks = text.count("\n")
-            if breaks:
-                line += breaks
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-            if kind == BLOCKTEXT:
-                span = SourceSpan(file, first_line, first_col, line, col)
-                tokens.append(Token(kind, text[2:-2], span))
-            continue
-        end = col + len(text)
+        if kind is None:
+            raise _fault(source, pos, style, SourceSpan.of_offsets(file, lines, pos, pos))
+        text = m[kind]
+        start = pos - len(text)
         if kind == STRING or kind == QNAME:
             text = _ESCAPE_RE.sub(_decode, text[1:-1])
-        tokens.append(Token(kind, text, SourceSpan(file, line, col, line, end)))
-        col = end
-    tokens.append(Token(EOF, "", SourceSpan.point(file, line, col)))
-    return tokens
+        elif kind == BLOCKTEXT:
+            text = text[2:-2]
+        tokens.append(new(Token, (kind, text, start, pos, file, lines)))
+        if kind == EOF:
+            return tokens
 
 
 def _fault(source: str, pos: int, style: str, at: SourceSpan) -> ParseError:
-    """The error for `pos`, where no token of `style` matches."""
+    """The error for `pos`, where no token of `style` starts."""
     if source.startswith("/*", pos):
         return ParseError(at, "unterminated /* ... */ block")
     mark = source[pos]
@@ -142,36 +142,41 @@ class TokenStream:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+        self.current = tokens[0]
+        self.depth = 0  # nesting levels entered
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def at(self, value: str) -> bool:
+        return self.current.value == value and self.current.kind in (IDENT, PUNCTUATION)
+
+    def keyword(self) -> str | None:
+        """The current token's text if `at` can match it, else None."""
         tok = self.current
-        return tok.kind in (IDENT, PUNCTUATION) and tok.value == value
-
-    def at_kind(self, kind: str) -> bool:
-        return self.current.kind == kind
-
-    def accept(self, value: str) -> Token | None:
-        if self.at(value):
-            return self.take()
-        return None
+        return tok.value if tok.kind in (IDENT, PUNCTUATION) else None
 
     def take(self) -> Token:
         tok = self.current
         if tok.kind != EOF:
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
-    def expect(self, value: str, what: str | None = None) -> Token:
+    def enter(self) -> None:
+        """Take the token that opens a nesting level; past MAX_NESTING, refuse it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(self.current.span, f"nesting deeper than {MAX_NESTING} levels")
+        self.take()
+
+    def leave(self) -> None:
+        self.depth -= 1
+
+    def expect(self, value: str) -> Token:
         if self.at(value):
             return self.take()
-        raise self.error((what or repr(value),))
+        raise self.error((repr(value),))
 
     def expect_kind(self, kind: str, what: str) -> Token:
         if self.current.kind == kind:
@@ -179,11 +184,6 @@ class TokenStream:
         raise self.error((what,))
 
     def error(self, expected: tuple[str, ...]) -> ParseError:
-        tok = self.current
-        listing = ", ".join(expected)
-        return ParseError(
-            tok.span,
-            f"expected {listing}, found {str(tok)!r}",
-            expected=expected,
-            found=str(tok),
-        )
+        found = str(self.current)
+        message = f"expected {', '.join(expected)}, found {found!r}"
+        return ParseError(self.current.span, message, expected=expected, found=found)

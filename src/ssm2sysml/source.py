@@ -1,10 +1,11 @@
 """Source positions shared by both front ends."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SourceSpan:
     """A half-open region of a source file, 1-based lines and columns."""
 
@@ -19,8 +20,13 @@ class SourceSpan:
             raise ValueError("span start must not follow span end")
 
     @staticmethod
-    def point(file: str, line: int, col: int) -> "SourceSpan":
-        return SourceSpan(file, line, col, line, col)
+    def of_offsets(file: str, lines: list[int], start: int, end: int) -> "SourceSpan":
+        """The span of characters `start` to `end`; `lines` holds the line-start offsets."""
+        first = bisect_right(lines, start)
+        last = bisect_right(lines, end, first)
+        return SourceSpan(
+            file, first, start - lines[first - 1] + 1, last, end - lines[last - 1] + 1
+        )
 
     def to(self, other: "SourceSpan") -> "SourceSpan":
         """Smallest span covering both self and other (same file)."""

@@ -101,24 +101,23 @@ def _parse_context(ts: TokenStream, file_name: str) -> SsmContext:
     conceptual_models: list[ConceptualModel] = []
     top_ids: dict[str, SourceSpan] = {}
 
-    def claim(id_tok: Token, what: str) -> None:
-        if id_tok.value in top_ids:
+    def claim(name: str, span: SourceSpan) -> None:
+        if name in top_ids:
             raise ParseError(
-                id_tok.span,
-                f"duplicate top-level id {id_tok.value!r} "
-                f"(first declared at {top_ids[id_tok.value]})",
-                found=id_tok.value,
+                span,
+                f"duplicate top-level id {name!r} (first declared at {top_ids[name]})",
+                found=name,
             )
-        top_ids[id_tok.value] = id_tok.span
+        top_ids[name] = span
 
     while not ts.at("}"):
         if ts.at("individual"):
             ind = _parse_individual(ts)
-            claim(Token(IDENT, ind.id, ind.span), "individual")
+            claim(ind.id, ind.span)
             individuals.append(ind)
         elif _hyphenated(ts, "root", "definition"):
             rd, id_tok = _parse_root_definition(ts)
-            claim(id_tok, "root definition")
+            claim(id_tok.value, id_tok.span)
             root_definitions.append(rd)
         elif _hyphenated(ts, "conceptual", "model"):
             conceptual_models.append(_parse_conceptual_model(ts))
@@ -173,12 +172,12 @@ def _parse_root_definition(ts: TokenStream) -> tuple[RootDefinition, Token]:
         if ts.at("customer"):
             ts.take()
             customers.append(_idref(ts, "customer id"))
-            while ts.at_kind(IDENT) and not _at_rd_keyword(ts):
+            while ts.current.kind == IDENT and not _at_rd_keyword(ts):
                 customers.append(_idref(ts, "customer id"))
         elif ts.at("actor"):
             ts.take()
             actors.append(_idref(ts, "actor id"))
-            while ts.at_kind(IDENT) and not _at_rd_keyword(ts):
+            while ts.current.kind == IDENT and not _at_rd_keyword(ts):
                 actors.append(_idref(ts, "actor id"))
         elif ts.at("owner"):
             ts.take()

@@ -93,13 +93,13 @@ class RelKind(enum.Enum):
 INLINE_REL_KINDS = (RelKind.TYPING, RelKind.SUBSETS, RelKind.REDEFINES, RelKind.BINDING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relationship:
     kind: RelKind
     target: QName
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multiplicity:
     lower: int
     upper: int | None = None  # None = unbounded ('*')
@@ -109,7 +109,7 @@ class Multiplicity:
             raise ValueError("multiplicity requires 0 <= lower <= upper")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """`assign target := expr;` inside an action body."""
 
@@ -117,7 +117,7 @@ class Assignment:
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Succession:
     """`first a then b;` ordering between sibling body members."""
 
@@ -130,31 +130,31 @@ class Succession:
 FilterExpr = Union["FAnd", "FOr", "FNot", "FHasMeta", "FMetaEq", "FTyped", "FKind"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FAnd:
     left: FilterExpr
     right: FilterExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FOr:
     left: FilterExpr
     right: FilterExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FNot:
     operand: FilterExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FHasMeta:
     """`@Def` — the element carries (or inherits) any application of Def."""
 
     metadata_def: QName
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FMetaEq:
     """`@Def.attr == literal` — an effective binding equals the literal."""
 
@@ -163,21 +163,21 @@ class FMetaEq:
     literal: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FTyped:
     """`istype Q` — the element's typing chain reaches Q."""
 
     type_name: QName
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FKind:
     """`iskind part` — the element has the named kind."""
 
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """One node of the subset AST.  `kind` decides which fields matter."""
 

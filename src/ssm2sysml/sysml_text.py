@@ -334,7 +334,7 @@ def _parse_qname(ts: TokenStream, what: str = "qualified name") -> QName:
 
 def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
     ts.expect("[")
-    lower = int(ts.expect_kind(NUMBER, "multiplicity lower bound").value)
+    lower = _parse_bound(ts, "multiplicity lower bound")
     upper: int | None = lower
     if ts.at(".."):
         ts.take()
@@ -342,7 +342,7 @@ def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
             ts.take()
             upper = None
         else:
-            upper = int(ts.expect_kind(NUMBER, "multiplicity upper bound").value)
+            upper = _parse_bound(ts, "multiplicity upper bound")
     ts.expect("]")
     try:
         return Multiplicity(lower, upper)
@@ -350,11 +350,17 @@ def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
         raise ParseError(ts.current.span, str(exc)) from exc
 
 
+def _parse_bound(ts: TokenStream, what: str) -> int:
+    """An INT: a NUMBER without a fraction."""
+    if ts.current.kind != NUMBER or "." in ts.current.value:
+        raise ts.error((what,))
+    return int(ts.take().value)
+
+
 def _parse_metadata_application(ts: TokenStream) -> Element:
-    start = ts.expect("@").span
+    start = ts.expect("@")
     meta_def = _parse_qname(ts, "metadata definition name")
     bindings: list[tuple[str, Expr]] = []
-    end = start
     if ts.at("{"):
         ts.take()
         while not ts.at("}"):
@@ -366,45 +372,43 @@ def _parse_metadata_application(ts: TokenStream) -> Element:
             value = parse_expr(ts)
             ts.expect(";")
             bindings.append((attr.value, value))
-        end = ts.take().span
+        end = ts.take()
     else:
-        end = ts.expect(";").span
+        end = ts.expect(";")
     return Element(
         ElementKind.METADATA,
         meta_def=meta_def,
         bindings=tuple(bindings),
-        span=start.to(end),
+        span=start.through(end),
     )
 
 
-def _parse_filter_expr(ts: TokenStream) -> FilterExpr:
-    left = _parse_filter_and(ts)
-    while ts.at("or"):
-        ts.take()
-        left = FOr(left, _parse_filter_and(ts))
-    return left
+_FILTER_OPS = {"or": (1, FOr), "and": (2, FAnd)}
+_FILTER_NOT = 3  # `not` binds tighter than `and` and `or`
 
 
-def _parse_filter_and(ts: TokenStream) -> FilterExpr:
-    left = _parse_filter_not(ts)
-    while ts.at("and"):
-        ts.take()
-        left = FAnd(left, _parse_filter_not(ts))
-    return left
-
-
-def _parse_filter_not(ts: TokenStream) -> FilterExpr:
+def _parse_filter_expr(ts: TokenStream, min_prec: int = 1) -> FilterExpr:
+    """The filter operators that bind at least as tightly as `min_prec`."""
     if ts.at("not"):
+        ts.enter()
+        left = FNot(_parse_filter_expr(ts, _FILTER_NOT))
+        ts.leave()
+    else:
+        left = _parse_filter_atom(ts)
+    while True:
+        op = _FILTER_OPS.get(ts.keyword())
+        if op is None or op[0] < min_prec:
+            return left
         ts.take()
-        return FNot(_parse_filter_not(ts))
-    return _parse_filter_atom(ts)
+        left = op[1](left, _parse_filter_expr(ts, op[0] + 1))
 
 
 def _parse_filter_atom(ts: TokenStream) -> FilterExpr:
     if ts.at("("):
-        ts.take()
+        ts.enter()
         inner = _parse_filter_expr(ts)
         ts.expect(")")
+        ts.leave()
         return inner
     if ts.at("@"):
         ts.take()
@@ -450,73 +454,16 @@ class _Body:
 
 
 def _parse_body(ts: TokenStream, kind: ElementKind) -> _Body:
-    """Parse `{ ... }` member statements (the '{' is already consumed)."""
+    """Parse member statements up to, not including, the closing '}'."""
     body = _Body()
+    statements = _STATE_STATEMENTS if kind is ElementKind.STATE else _STATEMENTS
     while not ts.at("}"):
         tok = ts.current
-        if tok.kind == EOF:
+        statement = statements.get(ts.keyword())
+        if statement is not None:
+            statement(ts, body)
+        elif tok.kind == EOF:
             raise ts.error(("'}'",))
-        if ts.at("@"):
-            body.children.append(_parse_metadata_application(ts))
-        elif ts.at("doc"):
-            ts.take()
-            text = ts.expect_kind(BLOCKTEXT, "/* documentation */").value
-            body.doc = text.strip()
-        elif ts.at("comment"):
-            start = ts.take().span
-            text = ts.expect_kind(BLOCKTEXT, "/* comment */")
-            body.children.append(
-                Element(ElementKind.COMMENT, doc=text.value.strip(), span=start.to(text.span))
-            )
-        elif tok.kind == IDENT and tok.value in _STATEMENT_KEYWORD_TO_REL:
-            ts.take()
-            target = _parse_qname(ts)
-            ts.expect(";")
-            body.statement_rels.append(
-                Relationship(_STATEMENT_KEYWORD_TO_REL[tok.value], target)
-            )
-        elif ts.at("filter"):
-            ts.take()
-            body.filter = _parse_filter_expr(ts)
-            ts.expect(";")
-        elif ts.at("first"):
-            ts.take()
-            source = _parse_name(ts)
-            if source is None:
-                raise ts.error(("succession source name",))
-            ts.expect("then")
-            target = _parse_name(ts)
-            if target is None:
-                raise ts.error(("succession target name",))
-            ts.expect(";")
-            body.successions.append(Succession(source, target))
-        elif ts.at("assign"):
-            ts.take()
-            target = _parse_qname(ts, "assignment target")
-            ts.expect(":=")
-            value = parse_expr(ts)
-            ts.expect(";")
-            body.assignments.append(Assignment(target, value))
-        elif ts.at("entry") and kind is ElementKind.STATE:
-            ts.take()
-            body.entry_action = _parse_qname(ts, "entry action name")
-            ts.expect(";")
-        elif ts.at("do") and kind is ElementKind.STATE:
-            ts.take()
-            body.do_action = _parse_qname(ts, "do action name")
-            ts.expect(";")
-        elif ts.at("send") or ts.at("accept"):
-            flavor = ts.take()
-            signal = _parse_qname(ts, "signal name")
-            end = ts.expect(";").span
-            body.children.append(
-                Element(
-                    ElementKind.ACTION,
-                    flavor=flavor.value,
-                    signal=signal,
-                    span=flavor.span.to(end),
-                )
-            )
         elif kind is ElementKind.ENUM_DEF and tok.kind in (IDENT, QNAME):
             name = _parse_name(ts)
             if name is None:
@@ -525,14 +472,102 @@ def _parse_body(ts: TokenStream, kind: ElementKind) -> _Body:
             body.enum_literals.append(name)
         else:
             body.children.append(_parse_declaration(ts))
-    ts.take()  # '}'
     return body
 
 
-_PREFIXED: dict[str, tuple[ElementKind, ElementKind | None]] = {
-    # keyword -> (usage kind, def kind or None)
-    "metadata": (ElementKind.METADATA, ElementKind.METADATA_DEF),
-    "enum": (ElementKind.ENUM_DEF, ElementKind.ENUM_DEF),
+# Body statements, each parsed from its keyword on.
+
+
+def _metadata_statement(ts: TokenStream, body: _Body) -> None:
+    body.children.append(_parse_metadata_application(ts))
+
+
+def _doc_statement(ts: TokenStream, body: _Body) -> None:
+    ts.take()
+    body.doc = ts.expect_kind(BLOCKTEXT, "/* documentation */").value.strip()
+
+
+def _comment_statement(ts: TokenStream, body: _Body) -> None:
+    start = ts.take()
+    text = ts.expect_kind(BLOCKTEXT, "/* comment */")
+    span = start.through(text)
+    body.children.append(Element(ElementKind.COMMENT, doc=text.value.strip(), span=span))
+
+
+def _relationship_statement(ts: TokenStream, body: _Body) -> None:
+    kind = _STATEMENT_KEYWORD_TO_REL[ts.take().value]
+    target = _parse_qname(ts)
+    ts.expect(";")
+    body.statement_rels.append(Relationship(kind, target))
+
+
+def _filter_statement(ts: TokenStream, body: _Body) -> None:
+    ts.take()
+    body.filter = _parse_filter_expr(ts)
+    ts.expect(";")
+
+
+def _succession_statement(ts: TokenStream, body: _Body) -> None:
+    ts.take()
+    source = _parse_name(ts)
+    if source is None:
+        raise ts.error(("succession source name",))
+    ts.expect("then")
+    target = _parse_name(ts)
+    if target is None:
+        raise ts.error(("succession target name",))
+    ts.expect(";")
+    body.successions.append(Succession(source, target))
+
+
+def _assign_statement(ts: TokenStream, body: _Body) -> None:
+    ts.take()
+    target = _parse_qname(ts, "assignment target")
+    ts.expect(":=")
+    value = parse_expr(ts)
+    ts.expect(";")
+    body.assignments.append(Assignment(target, value))
+
+
+def _entry_statement(ts: TokenStream, body: _Body) -> None:
+    ts.take()
+    body.entry_action = _parse_qname(ts, "entry action name")
+    ts.expect(";")
+
+
+def _do_statement(ts: TokenStream, body: _Body) -> None:
+    ts.take()
+    body.do_action = _parse_qname(ts, "do action name")
+    ts.expect(";")
+
+
+def _signal_statement(ts: TokenStream, body: _Body) -> None:
+    flavor = ts.take()
+    signal = _parse_qname(ts, "signal name")
+    span = flavor.through(ts.expect(";"))
+    body.children.append(
+        Element(ElementKind.ACTION, flavor=flavor.value, signal=signal, span=span)
+    )
+
+
+_STATEMENTS = {
+    "@": _metadata_statement,
+    "doc": _doc_statement,
+    "comment": _comment_statement,
+    **dict.fromkeys(_STATEMENT_KEYWORD_TO_REL, _relationship_statement),
+    "filter": _filter_statement,
+    "first": _succession_statement,
+    "assign": _assign_statement,
+    "send": _signal_statement,
+    "accept": _signal_statement,
+}
+_STATE_STATEMENTS = {**_STATEMENTS, "entry": _entry_statement, "do": _do_statement}
+
+
+_PREFIXED: dict[str, tuple[ElementKind | None, ElementKind]] = {
+    # keyword -> (usage kind, or None where only `def` may follow; def kind)
+    "metadata": (None, ElementKind.METADATA_DEF),
+    "enum": (None, ElementKind.ENUM_DEF),
     "attribute": (ElementKind.ATTRIBUTE, ElementKind.ATTRIBUTE_DEF),
     "individual": (ElementKind.INDIVIDUAL, ElementKind.INDIVIDUAL_DEF),
     "part": (ElementKind.PART, ElementKind.PART_DEF),
@@ -542,167 +577,119 @@ _PREFIXED: dict[str, tuple[ElementKind, ElementKind | None]] = {
     "viewpoint": (ElementKind.VIEWPOINT, ElementKind.VIEWPOINT_DEF),
 }
 
+# keyword -> (usage kind, def kind, required second keyword, further fields)
+_DECLARATORS: dict[str, tuple[ElementKind | None, ElementKind | None, str | None, dict]] = {
+    **{word: (usage, def_kind, None, {}) for word, (usage, def_kind) in _PREFIXED.items()},
+    "package": (ElementKind.PACKAGE, None, None, {}),
+    "use": (ElementKind.USE_CASE, ElementKind.USE_CASE_DEF, "case", {}),
+    "view": (ElementKind.VIEW, None, None, {}),
+    "stakeholder": (ElementKind.STAKEHOLDER, None, None, {}),
+    "actor": (ElementKind.ACTOR, None, None, {}),
+    "subject": (ElementKind.SUBJECT, None, None, {}),
+    "objective": (ElementKind.REQUIREMENT, None, None, {"is_objective": True}),
+    "perform": (ElementKind.ACTION, None, "action", {"is_perform": True}),
+    "action": (ElementKind.ACTION, None, None, {}),
+    "decide": (ElementKind.ACTION, None, None, {"flavor": "decide"}),
+    "state": (ElementKind.STATE, None, None, {}),
+}
+
+_INLINE_REL = {":>>": RelKind.REDEFINES, ":>": RelKind.SUBSETS, ":": RelKind.TYPING}
+
 
 def _parse_declaration(ts: TokenStream) -> Element:
-    tok = ts.current
-    start = tok.span
-    if tok.kind != IDENT:
+    first = ts.current
+    if first.kind != IDENT:
         raise ts.error(("an element declaration",))
-    word = tok.value
-
+    word = first.value
     if word in UNSUPPORTED_KEYWORDS:
-        raise UnsupportedConstruct(tok.span, word, tuple(sorted(_PREFIXED)))
+        raise UnsupportedConstruct(first.span, word, tuple(sorted(_PREFIXED)))
 
     direction: str | None = None
-    is_ref = False
-    if word in ("in", "out"):
+    if word == "in" or word == "out":
         direction = ts.take().value
         word = ts.current.value
-    if ts.at("ref"):
-        is_ref = True
+    is_ref = ts.at("ref")
+    if is_ref:
         ts.take()
         word = ts.current.value
 
-    kind: ElementKind
-    is_perform = False
-    flavor: str | None = None
-    is_objective = False
-
-    if word == "package":
-        ts.take()
-        kind = ElementKind.PACKAGE
-    elif word in _PREFIXED:
-        ts.take()
-        usage_kind, def_kind = _PREFIXED[word]
-        if ts.at("def"):
-            ts.take()
-            if word == "metadata":
-                kind = ElementKind.METADATA_DEF
-            else:
-                assert def_kind is not None
-                kind = def_kind
-        else:
-            if word == "enum":
-                raise ts.error(("def",))
-            if word == "metadata":
-                raise ts.error(("def",))
-            kind = usage_kind
-    elif word == "use":
-        ts.take()
-        ts.expect("case")
-        if ts.at("def"):
-            ts.take()
-            kind = ElementKind.USE_CASE_DEF
-        else:
-            kind = ElementKind.USE_CASE
-    elif word == "view":
-        ts.take()
-        kind = ElementKind.VIEW
-    elif word == "stakeholder":
-        ts.take()
-        kind = ElementKind.STAKEHOLDER
-    elif word == "actor":
-        ts.take()
-        kind = ElementKind.ACTOR
-    elif word == "subject":
-        ts.take()
-        kind = ElementKind.SUBJECT
-    elif word == "objective":
-        ts.take()
-        kind = ElementKind.REQUIREMENT
-        is_objective = True
-    elif word == "perform":
-        ts.take()
-        ts.expect("action")
-        kind = ElementKind.ACTION
-        is_perform = True
-    elif word == "action":
-        ts.take()
-        kind = ElementKind.ACTION
-    elif word == "decide":
-        ts.take()
-        kind = ElementKind.ACTION
-        flavor = "decide"
-    elif word == "state":
-        ts.take()
-        kind = ElementKind.STATE
-    elif word == "transition":
-        return _parse_transition(ts)
-    elif word in ("require", "assume", "assert", "constraint"):
-        return _parse_constraint(ts)
-    else:
+    special = _SPECIAL_DECLARATIONS.get(word)
+    if special is not None:
+        return special(ts)
+    form = _DECLARATORS.get(word)
+    if form is None:
         raise ts.error(("an element declaration",))
+    usage_kind, def_kind, second, fields = form
+    ts.take()
+    if second is not None:
+        ts.expect(second)
+    if def_kind is not None and ts.at("def"):
+        ts.take()
+        kind = def_kind
+    elif usage_kind is None:
+        raise ts.error(("def",))
+    else:
+        kind = usage_kind
 
     name = _parse_name(ts)
     relationships: list[Relationship] = []
     multiplicity: Multiplicity | None = None
     value: Expr | None = None
     performer: QName | None = None
-
     while True:
-        if ts.at(":>>"):
+        word = ts.keyword()
+        if word in _INLINE_REL:
             ts.take()
-            relationships.append(Relationship(RelKind.REDEFINES, _parse_qname(ts)))
-        elif ts.at(":>"):
-            ts.take()
-            relationships.append(Relationship(RelKind.SUBSETS, _parse_qname(ts)))
-        elif ts.at(":"):
-            ts.take()
-            relationships.append(Relationship(RelKind.TYPING, _parse_qname(ts)))
-        elif ts.at("["):
+            relationships.append(Relationship(_INLINE_REL[word], _parse_qname(ts)))
+        elif word == "[":
             multiplicity = _parse_multiplicity(ts)
-        elif ts.at("="):
+        elif word == "=":
             ts.take()
             if kind is ElementKind.ATTRIBUTE:
                 value = parse_expr(ts)
             else:
                 relationships.append(Relationship(RelKind.BINDING, _parse_qname(ts)))
-        elif ts.at("by") and kind is ElementKind.ACTION:
+        elif word == "by" and kind is ElementKind.ACTION:
             ts.take()
             performer = _parse_qname(ts, "performer name")
         else:
             break
 
     fields = dict(
+        fields,
         kind=kind,
         name=name,
         multiplicity=multiplicity,
         direction=direction,
         is_ref=is_ref,
-        is_perform=is_perform,
-        flavor=flavor,
         performer=performer,
         value=value,
-        is_objective=is_objective,
     )
-
     if ts.at(";"):
-        end = ts.take().span
-        return Element(
-            relationships=tuple(relationships), span=start.to(end), **fields
-        )
-    if ts.at("{"):
-        ts.take()
-        body = _parse_body(ts, kind)
-        end = ts.peek(-1).span if ts.pos else start
-        return Element(
-            relationships=tuple(relationships) + tuple(body.statement_rels),
-            doc=body.doc,
-            enum_literals=tuple(body.enum_literals),
-            entry_action=body.entry_action,
-            do_action=body.do_action,
-            filter=body.filter,
-            assignments=tuple(body.assignments),
-            successions=tuple(body.successions),
-            children=tuple(body.children),
-            span=start.to(end),
-            **fields,
-        )
-    raise ts.error(("';'", "'{'"))
+        span = first.through(ts.take())
+        return Element(relationships=tuple(relationships), span=span, **fields)
+    if not ts.at("{"):
+        raise ts.error(("';'", "'{'"))
+    ts.enter()
+    body = _parse_body(ts, kind)
+    ts.leave()
+    return Element(
+        relationships=tuple(relationships) + tuple(body.statement_rels),
+        doc=body.doc,
+        enum_literals=tuple(body.enum_literals),
+        entry_action=body.entry_action,
+        do_action=body.do_action,
+        filter=body.filter,
+        assignments=tuple(body.assignments),
+        successions=tuple(body.successions),
+        children=tuple(body.children),
+        span=first.through(ts.take()),
+        **fields,
+    )
 
 
 def _parse_transition(ts: TokenStream) -> Element:
-    start = ts.expect("transition").span
+    start = ts.expect("transition")
     name = _parse_name(ts)
     ts.expect("first")
     source = _parse_name(ts)
@@ -724,7 +711,7 @@ def _parse_transition(ts: TokenStream) -> Element:
     target = _parse_name(ts)
     if target is None:
         raise ts.error(("target state name",))
-    end = ts.expect(";").span
+    end = ts.expect(";")
     return Element(
         ElementKind.TRANSITION,
         name=name,
@@ -733,24 +720,30 @@ def _parse_transition(ts: TokenStream) -> Element:
         trigger=trigger,
         guard=guard,
         effect=effect,
-        span=start.to(end),
+        span=start.through(end),
     )
 
 
 def _parse_constraint(ts: TokenStream) -> Element:
-    start = ts.current.span
+    start = ts.current
     constraint_kind: str | None = None
-    if ts.current.value in ("require", "assume", "assert"):
+    if start.value in ("require", "assume", "assert"):
         constraint_kind = ts.take().value
     ts.expect("constraint")
     name = _parse_name(ts)
     ts.expect("{")
     expr = parse_expr(ts)
-    end = ts.expect("}").span
+    end = ts.expect("}")
     return Element(
         ElementKind.CONSTRAINT,
         name=name,
         constraint_kind=constraint_kind,
         constraint_expr=expr,
-        span=start.to(end),
+        span=start.through(end),
     )
+
+
+_SPECIAL_DECLARATIONS = {
+    "transition": _parse_transition,
+    **dict.fromkeys(("require", "assume", "assert", "constraint"), _parse_constraint),
+}

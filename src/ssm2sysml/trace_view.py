@@ -61,14 +61,14 @@ EDGE_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEdge:
     source: QName
     target: QName
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceGraph:
     nodes: tuple[QName, ...]
     edges: tuple[TraceEdge, ...]

@@ -12,14 +12,26 @@ from pathlib import Path
 
 import pytest
 
-from ssm2sysml import emit, parse_sysml
+from ssm2sysml import Element, ElementKind, emit, parse_sysml
 from ssm2sysml.cli import main
+from ssm2sysml.exprs import Lit
+from ssm2sysml.lexing import MAX_NESTING
+from ssm2sysml.sysml_ast import package
 
 from mutations import MUTATIONS
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_SSM = str(REPO / "data" / "case_study.ssm")
 DATA_SYSML = str(REPO / "data" / "kettle.sysml")
+
+
+def _cli(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run the CLI as a child process in `cwd`, with UTF-8 standard streams."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUTF8": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "ssm2sysml.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
 
 
 @pytest.fixture()
@@ -123,14 +135,114 @@ def test_non_ascii_digit_is_a_parse_error(tmp_path, command, name, text):
     source = tmp_path / name
     source.write_text(text, encoding="utf-8")
     args = [command, str(source)] + (["-o", str(tmp_path / "o")] if command == "compile" else [])
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUTF8": "1"}
-    done = subprocess.run(
-        [sys.executable, "-m", "ssm2sysml.cli", *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
-    )
+    done = _cli(tmp_path, *args)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "unexpected character '\u00b2'" in done.stderr
+
+
+@pytest.mark.parametrize("bounds, column", [("1.5", 21), ("0..2.5", 24)], ids=["lower", "upper"])
+def test_non_integer_multiplicity_bound_is_a_parse_error(tmp_path, bounds, column):
+    (tmp_path / "m.sysml").write_text(f"package P {{ part x [{bounds}]; }}\n")
+    done = _cli(tmp_path, "check", "m.sysml")
+    which = "lower" if bounds == "1.5" else "upper"
+    assert (done.returncode, done.stderr) == (
+        2, f"m.sysml:1:{column}: expected multiplicity {which} bound, found '{bounds[-3:]}'\n"
+    )
+
+
+BAD_SYSML = b"package P { part \xff; }\n"
+# command -> (file, its bytes, further arguments, undecodable byte, reason)
+UNDECODABLE = {
+    "compile": ("bad.ssm", b'context C { individual a : P "caf\xe9" }\n', ["-o", "out"],
+                33, "invalid continuation byte"),
+    "check": ("bad.sysml", BAD_SYSML, [], 17, "invalid start byte"),
+    "trace": ("bad.sysml", BAD_SYSML, ["--from", "P"], 17, "invalid start byte"),
+    "view": ("bad.sysml", BAD_SYSML, ["v"], 17, "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("command", UNDECODABLE)
+def test_undecodable_input_is_a_fault(tmp_path, command):
+    name, data, extra, at, reason = UNDECODABLE[command]
+    (tmp_path / name).write_bytes(data)
+    done = _cli(tmp_path, command, name, *extra)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"{name}: not UTF-8 text: byte {at} ({reason})\n"
+
+
+def test_carriage_return_in_names_and_strings_survives_a_file(tmp_path):
+    model = package(
+        "P",
+        Element(ElementKind.PART, name="a\rb"),
+        Element(ElementKind.ATTRIBUTE, name="v", value=Lit("x\r\ny")),
+    )
+    path = tmp_path / "cr.sysml"
+    path.write_text(emit(model))
+    assert b"\r" not in path.read_bytes()
+    done = _cli(tmp_path, "check", "cr.sysml")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert parse_sysml(path.read_text(), "cr.sysml") == model
+
+
+def _nested_parts(depth: int) -> str:
+    """`depth` nested bodies: the package and `depth - 1` parts."""
+    return "package P {\n" + "part a {\n" * (depth - 1) + "part a;\n" + "}\n" * depth
+
+
+def _in_view(nest):
+    """A view filter `nest`ed so that with the package and view bodies it is `depth` deep."""
+    def text(depth: int) -> str:
+        inner = nest(depth - 2, "iskind part")
+        return f"package P {{\n  part x;\n  view v {{ expose x; filter {inner}; }}\n}}\n"
+    return text
+
+
+def _in_requirement(nest):
+    """The case study with one `require` expression `nest`ed `depth` deep."""
+    def text(depth: int) -> str:
+        nested = nest(depth, "license.availability > 0")
+        case = Path(DATA_SSM).read_text()
+        return case.replace('require "license.availability > 0"', f'require "{nested}"')
+    return text
+
+
+def _parenthesized(depth: int, inner: str) -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def _negated(depth: int, inner: str) -> str:
+    return "not " * depth + inner
+
+
+# construct -> (command, file suffix, text nested `depth` levels deep)
+NESTING = {
+    "declarations": ("check", ".sysml", _nested_parts),
+    "filter-parentheses": ("check", ".sysml", _in_view(_parenthesized)),
+    "filter-not": ("check", ".sysml", _in_view(_negated)),
+    "require-parentheses": ("compile", ".ssm", _in_requirement(_parenthesized)),
+    "require-not": ("compile", ".ssm", _in_requirement(_negated)),
+}
+
+
+@pytest.mark.parametrize("construct", NESTING)
+def test_nesting_cap(tmp_path, monkeypatch, capsys, construct):
+    command, suffix, text = NESTING[construct]
+    out = ["-o", "out"] if command == "compile" else []
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"cap{suffix}").write_text(text(MAX_NESTING))
+    assert main([command, f"cap{suffix}", *out]) == 0
+    names = []
+    for depth in (MAX_NESTING + 1, 1500):
+        names.append(f"deep{depth}{suffix}")
+        (tmp_path / names[-1]).write_text(text(depth))
+    done = _cli(tmp_path, command, *names, *out)
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 2, done.stderr
+    for name, line in zip(names, lines):
+        assert line.startswith(name + ":")
+        assert line.endswith(f"nesting deeper than {MAX_NESTING} levels")
 
 
 # --- check -------------------------------------------------------------------

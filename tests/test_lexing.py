@@ -19,13 +19,16 @@ import sys
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from ssm2sysml import ParseError, emit, format_ssm, map_context, parse_ssm
-from ssm2sysml.lexing import EOF, QNAME, STRING, lex, quote
+from ssm2sysml.lexing import (
+    BLOCKTEXT, EOF, IDENT, IDENT_RE, NUMBER, PUNCTUATION, QNAME, STRING, lex, quote,
+)
+from ssm2sysml.source import SourceSpan
 
 from model_gen import gen_model
 from ssm_gen import gen_context
@@ -104,6 +107,91 @@ def test_quote_is_the_inverse_of_lex(text, case):
     mark, style, kind = case
     first, end = lex(quote(text, mark), "f", style)
     assert (first.kind, first.value, end.kind) == (kind, text, EOF)
+
+
+# --- spans against a reference walker ------------------------------------------
+
+
+def _walk(text: str) -> list[tuple[int, int]]:
+    """(line, column) of every offset of `text`, its end included, one character at a time."""
+    positions, line, col = [], 1, 1
+    for char in text:
+        positions.append((line, col))
+        line, col = (line + 1, 1) if char == "\n" else (line, col + 1)
+    positions.append((line, col))
+    return positions
+
+
+_LITERAL = st.text(alphabet="ab \t\r\n\\\"'", max_size=6)
+_BLOCK = st.text(alphabet="ab \t\r\n*/", max_size=12).filter(lambda text: "*/" not in text)
+
+
+def _tokens(style: str):
+    """(kind, value, source text) of one token of `style`."""
+    shapes = [
+        st.from_regex(IDENT_RE, fullmatch=True).map(lambda text: (IDENT, text, text)),
+        st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,2})?", fullmatch=True).map(
+            lambda text: (NUMBER, text, text)
+        ),
+        st.sampled_from(":>> :: -> .. { } ; = * / ( ) .".split()).map(
+            lambda text: (PUNCTUATION, text, text)
+        ),
+        _LITERAL.map(lambda text: (STRING, text, quote(text))),
+    ]
+    if style == "sysml":
+        shapes.append(_LITERAL.map(lambda text: (QNAME, text, quote(text, "'"))))
+        shapes.append(_BLOCK.map(lambda text: (BLOCKTEXT, text, f"/*{text}*/")))
+    return st.one_of(shapes)
+
+
+def _layout(style: str):
+    """Layout that starts with whitespace, so that it never joins the token before it."""
+    comment = "// c\n" if style == "sysml" else "# c\n"
+    tail = st.lists(st.sampled_from([" ", "\t", "\r", "\n", comment]), max_size=3)
+    return st.tuples(st.sampled_from([" ", "\t", "\r", "\n"]), tail).map(
+        lambda parts: parts[0] + "".join(parts[1])
+    )
+
+
+@st.composite
+def _sources(draw):
+    """A source, its expected tokens as (kind, value, start, end), and a fault offset or None."""
+    style = draw(st.sampled_from(["ssm", "sysml"]))
+    text, tokens = draw(st.sampled_from(["", "\n", "\r\n\t"])), []
+    for kind, value, written in draw(st.lists(_tokens(style), max_size=8)):
+        tokens.append((kind, value, len(text), len(text) + len(written)))
+        text += written + draw(_layout(style))
+    fault = None
+    if draw(st.booleans()):
+        fault = len(text)
+        faults = ["!", '"open', "'"] if style == "ssm" else ["!", "#", "'open", "/* open\n"]
+        text += draw(st.sampled_from(faults))
+    else:  # the end of input may follow a line comment that has no newline
+        text += draw(st.sampled_from(["", "// end" if style == "sysml" else "# end"]))
+    return style, text, tokens, fault
+
+
+@given(_sources())
+@example((
+    "sysml", "doc /* one\r\ntwo */ x\t!",
+    [(IDENT, "doc", 0, 3), (BLOCKTEXT, " one\r\ntwo ", 4, 18), (IDENT, "x", 19, 20)], 21,
+))
+@example(("ssm", "a # end", [(IDENT, "a", 0, 1)], None))
+def test_spans_match_a_reference_walker(case):
+    style, text, tokens, fault = case
+    position = _walk(text)
+
+    def span(start: int, end: int) -> SourceSpan:
+        return SourceSpan("f", *position[start], *position[end])
+
+    if fault is not None:
+        with pytest.raises(ParseError) as exc:
+            lex(text, "f", style)
+        assert exc.value.span == span(fault, fault)
+        return
+    expected = [(kind, value, span(start, end)) for kind, value, start, end in tokens]
+    expected.append((EOF, "", span(len(text), len(text))))
+    assert [(t.kind, t.value, t.span) for t in lex(text, "f", style)] == expected
 
 
 # --- recorded token streams ---------------------------------------------------
