@@ -205,8 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_view.add_argument("--format", choices=("text", "json"), default="text")
     p_view.set_defaults(func=cmd_view)
 
-    p_explain = sub.add_parser("explain", help="describe one conformance rule")
-    p_explain.add_argument("rule", metavar="RULE_ID")
+    p_explain = sub.add_parser("explain", help="describe one diagnostic code")
+    p_explain.add_argument("rule", metavar="CODE")
     p_explain.set_defaults(func=cmd_explain)
 
     return parser

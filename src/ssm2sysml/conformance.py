@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import COMPILE_CODES, Code, Diagnostic, Severity
 from .errors import UnknownRule
 from .exprs import EnumLit, Lit
 from .mapper import CATWOE_DEF, RATIONALE_DEF
@@ -28,11 +28,7 @@ Checker = Callable[["_Context"], list[Diagnostic]]
 
 
 @dataclass(frozen=True)
-class Rule:
-    id: str
-    severity: Severity
-    description: str
-    rationale: str
+class Rule(Code):
     checker: Checker
 
 
@@ -72,8 +68,7 @@ _ALL_ROLES = ("Customer", "Actor", "Transformation", "Worldview", "Owner", "Envi
 
 
 def _diag(rule_id: str, element: Element, path: QName, detail: str) -> Diagnostic:
-    rule = _RULE_BY_ID[rule_id]
-    return Diagnostic(rule.id, rule.severity, qname_text(path), element.span, detail)
+    return _RULE_BY_ID[rule_id].at(qname_text(path), element.span, detail)
 
 
 def _check_act_1(ctx: _Context) -> list[Diagnostic]:
@@ -426,6 +421,8 @@ RULES: tuple[Rule, ...] = (
 )
 
 _RULE_BY_ID: dict[str, Rule] = {rule.id: rule for rule in RULES}
+# Every code the tool emits, for `explain`.
+_CODE_BY_ID: dict[str, Code] = {**COMPILE_CODES, **_RULE_BY_ID}
 
 
 def check(model: Element, rule_ids: Iterable[str] | None = None) -> list[Diagnostic]:
@@ -449,7 +446,9 @@ def _require_rule(rule_id: str) -> Rule:
     return rule
 
 
-def explain(rule_id: str) -> str:
-    """Human-readable description of one rule; raises UnknownRule."""
-    rule = _require_rule(rule_id)
-    return f"{rule.id} ({rule.severity}): {rule.description} {rule.rationale}"
+def explain(code_id: str) -> str:
+    """Human-readable description of one diagnostic code; raises UnknownRule."""
+    code = _CODE_BY_ID.get(code_id)
+    if code is None:
+        raise UnknownRule(code_id)
+    return f"{code.id} ({code.severity}): {code.description} {code.rationale}"

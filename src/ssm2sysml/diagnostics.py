@@ -1,4 +1,4 @@
-"""Diagnostic records shared by SSM validation and SysML conformance."""
+"""Diagnostic records and codes shared by SSM validation, mapping and SysML conformance."""
 from __future__ import annotations
 
 import enum
@@ -58,3 +58,43 @@ class Diagnostic:
             "col": self.span.start_col if self.span else None,
             "message": self.message,
         }
+
+
+@dataclass(frozen=True)
+class Code:
+    """One diagnostic code the tool emits: what it requires and why."""
+
+    id: str
+    severity: Severity
+    description: str
+    rationale: str
+
+    def at(self, element_path: str, span: SourceSpan | None, message: str) -> Diagnostic:
+        return Diagnostic(self.id, self.severity, element_path, span, message)
+
+
+_E, _W = Severity.ERROR, Severity.WARNING
+# Codes of `compile`: SSM-* from `validate_context`, W-* from `map_context`.
+COMPILE_CODES: dict[str, Code] = {code.id: code for code in (
+    Code("SSM-001", _E, "Every reference names a declared element: customers, actors, owners "
+         "and performers name individuals, flow and monitor ends name activities, a conceptual "
+         "model names a root definition, and a constraint refines another constraint of its "
+         "root definition.",
+         "Each reference becomes a SysML relationship, which must resolve."),
+    Code("SSM-002", _E, "Every activity is performed by an actor or the owner of its conceptual "
+         "model's root definition.", "Each activity becomes a perform action of that root "
+         "definition's use case, performed by one of the people it names."),
+    Code("SSM-003", _E, "The flows of a conceptual model form no cycle.",
+         "Activities are emitted as actions in flow order, which a cycle does not have."),
+    Code("SSM-004", _E, "Input and output names within one transformation are unique.",
+         "They become usages of one use case, whose member names must be unique."),
+    Code("SSM-005", _E, "Display names, definition types, worldviews, transformation statements "
+         "and subjects, and constraint texts are non-empty.",
+         "Each becomes a name, type, doc or rationale of the model; an empty one carries nothing."),
+    Code("W-DUPNAME", _W, "No two individuals share a display name.",
+         "Readers tell individuals apart by display name."),
+    Code("W-NOCM", _W, "Every root definition has a conceptual model.",
+         "Without one, the use case body holds no activities."),
+    Code("W-NOEXPR", _W, "Every environmental constraint has a formal expression.",
+         "Without one, a placeholder `true` constraint is emitted, which constrains nothing."),
+)}

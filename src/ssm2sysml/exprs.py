@@ -85,7 +85,10 @@ def _parse(ts: TokenStream, min_prec: int) -> Expr:
         top = _PREC["not"]
     elif word == "-":
         ts.enter()
+        doubled = ts.at("-")  # printed as `-(-a)`: count the parenthesis too
+        ts.depth += doubled
         left = Unary("-", _parse(ts, _PREC["neg"]))
+        ts.depth -= doubled
         ts.leave()
     else:
         left = _parse_atom(ts)
@@ -101,8 +104,7 @@ def _parse(ts: TokenStream, min_prec: int) -> Expr:
 def _parse_atom(ts: TokenStream) -> Expr:
     tok = ts.current
     if tok.kind == NUMBER:
-        ts.take()
-        return Lit(float(tok.value) if "." in tok.value else int(tok.value))
+        return Lit(float(ts.take().value) if "." in tok.value else ts.take_int("a number"))
     if tok.kind == STRING:
         ts.take()
         return Lit(tok.value)
@@ -131,9 +133,10 @@ def _parse_atom(ts: TokenStream) -> Expr:
     raise ts.error(("an expression",))
 
 
-def parse_expr_text(text: str, file: str = "<expr>") -> Expr:
-    """Parse a standalone expression string; the whole string must parse."""
+def parse_expr_text(text: str, file: str = "<expr>", depth: int = 0) -> Expr:
+    """Parse a whole expression string, to be written inside `depth` open nesting levels."""
     ts = TokenStream(lex(text, file, "sysml"))
+    ts.depth = depth
     expr = parse_expr(ts)
     if ts.current.kind != "eof":
         raise ts.error(("end of expression",))

@@ -11,6 +11,7 @@ write, `lex` reads back unchanged.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -162,6 +163,17 @@ class TokenStream:
             self.pos += 1
             self.current = self.tokens[self.pos]
         return tok
+
+    def take_int(self, what: str) -> int:
+        """Take a NUMBER without a fraction; refuse one with more digits than `int()` reads."""
+        if self.current.kind != NUMBER or "." in self.current.value:
+            raise self.error((what,))
+        tok = self.take()
+        try:
+            return int(tok.value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(tok.span, f"integer longer than {limit} digits") from None
 
     def enter(self) -> None:
         """Take the token that opens a nesting level; past MAX_NESTING, refuse it."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import COMPILE_CODES, Diagnostic
 from .errors import MappingError
 from .exprs import EnumLit, Lit
 from .source import SourceSpan
@@ -269,6 +269,9 @@ def environment_def(options: MappingOptions = DEFAULT_OPTIONS) -> Element:
         name=options.environment_def,
         children=(catwoe_tag(CatwoeRole.ENVIRONMENT),),
     )
+
+
+CONSTRAINT_DEPTH = 2  # the package and requirement-def bodies around each constraint written below
 
 
 def _ec_requirement(
@@ -576,16 +579,12 @@ def map_context(
     seen_display: dict[str, str] = {}
     for ind in ctx.individuals:
         if ind.display_name in seen_display:
-            warnings.append(
-                Diagnostic(
-                    "W-DUPNAME",
-                    Severity.WARNING,
-                    f"{ctx.name}.{ind.id}",
-                    ind.span,
-                    f"individuals {seen_display[ind.display_name]!r} and "
-                    f"{ind.id!r} share the display name {ind.display_name!r}",
-                )
-            )
+            warnings.append(COMPILE_CODES["W-DUPNAME"].at(
+                f"{ctx.name}.{ind.id}",
+                ind.span,
+                f"individuals {seen_display[ind.display_name]!r} and "
+                f"{ind.id!r} share the display name {ind.display_name!r}",
+            ))
         else:
             seen_display[ind.display_name] = ind.id
 
@@ -632,28 +631,20 @@ def map_context(
         names = _rd_names(rd, options, suffixed, claim)
         cm = models.get(rd.id)
         if cm is None:
-            warnings.append(
-                Diagnostic(
-                    "W-NOCM",
-                    Severity.WARNING,
-                    f"{ctx.name}.{names.part}.{names.use_case}",
-                    rd.span,
-                    f"root definition {rd.id!r} has no conceptual model; "
-                    "the use case body holds no activities",
-                )
-            )
+            warnings.append(COMPILE_CODES["W-NOCM"].at(
+                f"{ctx.name}.{names.part}.{names.use_case}",
+                rd.span,
+                f"root definition {rd.id!r} has no conceptual model; "
+                "the use case body holds no activities",
+            ))
         for ec in rd.environmental_constraints:
             if ec.expr is None:
-                warnings.append(
-                    Diagnostic(
-                        "W-NOEXPR",
-                        Severity.WARNING,
-                        f"{ctx.name}.{names.ec_names[ec.id]}",
-                        ec.span,
-                        f"environmental constraint {ec.id!r} has no expression; "
-                        "a placeholder `true` constraint was emitted",
-                    )
-                )
+                warnings.append(COMPILE_CODES["W-NOEXPR"].at(
+                    f"{ctx.name}.{names.ec_names[ec.id]}",
+                    ec.span,
+                    f"environmental constraint {ec.id!r} has no expression; "
+                    "a placeholder `true` constraint was emitted",
+                ))
             ec_defs.append(_ec_requirement(ec, names.ec_names, options))
             prov_roles.append((ec_defs[-1], CatwoeRole.ENVIRONMENT))
         if not rd.environmental_constraints and env_def is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import COMPILE_CODES, Diagnostic
 from .exprs import Expr
 from .source import SourceSpan
 
@@ -139,7 +139,13 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def err(code: str, path: str, span: SourceSpan | None, message: str) -> None:
-        diags.append(Diagnostic(code, Severity.ERROR, path, span, message))
+        diags.append(COMPILE_CODES[code].at(path, span, message))
+
+    def resolve(ref: IdRef, ids: set[str], path: str, span: SourceSpan | None, text: str) -> bool:
+        """Whether `ref` names one of `ids`; if not, SSM-001 at the reference."""
+        if ref.id not in ids:
+            err("SSM-001", path, ref.span or span, text)
+        return ref.id in ids
 
     known = {ind.id for ind in ctx.individuals}
 
@@ -152,21 +158,10 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
     for rd in ctx.root_definitions:
         path = rd.id
 
-        def check_ref(ref: IdRef, role: str) -> None:
-            if ref.id not in known:
-                err(
-                    "SSM-001",
-                    path,
-                    ref.span or rd.span,
-                    f"{role} {ref.id!r} in root definition {rd.id!r} "
-                    "does not name a declared individual",
-                )
-
-        for ref in rd.customers:
-            check_ref(ref, "customer")
-        for ref in rd.actors:
-            check_ref(ref, "actor")
-        check_ref(rd.owner, "owner")
+        for role, refs in (("customer", rd.customers), ("actor", rd.actors), ("owner", [rd.owner])):
+            for ref in refs:
+                resolve(ref, known, path, rd.span, f"{role} {ref.id!r} in root definition "
+                        f"{rd.id!r} does not name a declared individual")
 
         if not rd.worldview:
             err("SSM-005", path, rd.span, f"root definition {rd.id!r} has an empty worldview")
@@ -191,44 +186,28 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
         for ec in rd.environmental_constraints:
             if not ec.text:
                 err("SSM-005", f"{path}.{ec.id}", ec.span, f"environmental constraint {ec.id!r} has empty text")
-            if ec.refines is not None and (
-                ec.refines.id not in ec_ids or ec.refines.id == ec.id
-            ):
-                err(
-                    "SSM-001",
-                    f"{path}.{ec.id}",
-                    ec.refines.span or ec.span,
-                    f"environmental constraint {ec.id!r} refines unknown "
-                    f"constraint {ec.refines.id!r}",
-                )
+            if ec.refines is not None:
+                resolve(ec.refines, ec_ids - {ec.id}, f"{path}.{ec.id}", ec.span,
+                        f"environmental constraint {ec.id!r} refines unknown "
+                        f"constraint {ec.refines.id!r}")
 
     rd_ids = {rd.id for rd in ctx.root_definitions}
     for cm in ctx.conceptual_models:
         cm_path = f"cm:{cm.root_definition_id.id}"
         rd = ctx.root_definition(cm.root_definition_id.id)
-        if cm.root_definition_id.id not in rd_ids:
-            err(
-                "SSM-001",
-                cm_path,
-                cm.root_definition_id.span or cm.span,
-                f"conceptual model references unknown root definition "
-                f"{cm.root_definition_id.id!r}",
-            )
+        resolve(cm.root_definition_id, rd_ids, cm_path, cm.span,
+                f"conceptual model references unknown root definition {cm.root_definition_id.id!r}")
 
         act_ids = {a.id for a in cm.activities}
         performers: set[str] = set()
         if rd is not None:
             performers = {ref.id for ref in rd.actors} | {rd.owner.id}
         for act in cm.activities:
-            if act.performed_by.id not in known:
-                err(
-                    "SSM-001",
-                    f"{cm_path}.{act.id}",
-                    act.performed_by.span or act.span,
-                    f"activity {act.id!r} is performed by unknown individual "
-                    f"{act.performed_by.id!r}",
-                )
-            elif rd is not None and act.performed_by.id not in performers:
+            if not resolve(act.performed_by, known, f"{cm_path}.{act.id}", act.span,
+                           f"activity {act.id!r} is performed by unknown individual "
+                           f"{act.performed_by.id!r}"):
+                continue
+            if rd is not None and act.performed_by.id not in performers:
                 err(
                     "SSM-002",
                     f"{cm_path}.{act.id}",
@@ -238,22 +217,12 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
                 )
         for flow in cm.flows:
             for ref in (flow.source, flow.target):
-                if ref.id not in act_ids:
-                    err(
-                        "SSM-001",
-                        cm_path,
-                        ref.span or flow.span,
-                        f"flow endpoint {ref.id!r} does not name an activity",
-                    )
+                resolve(ref, act_ids, cm_path, flow.span,
+                        f"flow endpoint {ref.id!r} does not name an activity")
         for mon in cm.monitors:
             for ref in mon.controls:
-                if ref.id not in act_ids:
-                    err(
-                        "SSM-001",
-                        f"{cm_path}.{mon.id}",
-                        ref.span or mon.span,
-                        f"monitor {mon.id!r} controls unknown activity {ref.id!r}",
-                    )
+                resolve(ref, act_ids, f"{cm_path}.{mon.id}", mon.span,
+                        f"monitor {mon.id!r} controls unknown activity {ref.id!r}")
 
         cycle = _find_cycle(cm)
         if cycle:
@@ -277,26 +246,24 @@ def _find_cycle(cm: ConceptualModel) -> list[str] | None:
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {node: WHITE for node in adjacency}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in adjacency[node]:
-            if color[nxt] == GREY:
-                i = stack.index(nxt)
-                return stack[i:] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in adjacency:
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    for root in adjacency:
+        if color[root] != WHITE:
+            continue
+        # Iterative DFS: `path` holds the grey nodes, `pending` the
+        # unexplored successors of each, so long chains cannot overflow.
+        color[root] = GREY
+        path = [root]
+        pending = [iter(adjacency[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(adjacency[nxt]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None

@@ -31,6 +31,7 @@ from __future__ import annotations
 from .errors import ParseError
 from .exprs import Expr, expr_to_text, parse_expr_text
 from .lexing import EOF, IDENT, STRING, Token, TokenStream, lex, quote
+from .mapper import CONSTRAINT_DEPTH
 from .source import SourceSpan
 from .ssm_model import (
     Activity,
@@ -297,7 +298,7 @@ def _parse_env_constraint(ts: TokenStream) -> EnvConstraint:
             kind = ts.take().value
             expr_tok = _string(ts, "constraint expression string")
             try:
-                expr = parse_expr_text(expr_tok.value, expr_tok.span.file)
+                expr = parse_expr_text(expr_tok.value, expr_tok.span.file, CONSTRAINT_DEPTH)
             except ParseError as exc:
                 raise ParseError(
                     expr_tok.span,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import ParseError, UnsupportedConstruct, UnsupportedElement
 from .exprs import Expr, expr_to_text, parse_expr, parse_operand
-from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, NUMBER, QNAME, TokenStream, lex, quote
+from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, QNAME, TokenStream, lex, quote
 from .sysml_ast import (
     Assignment,
     Element,
@@ -334,7 +334,7 @@ def _parse_qname(ts: TokenStream, what: str = "qualified name") -> QName:
 
 def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
     ts.expect("[")
-    lower = _parse_bound(ts, "multiplicity lower bound")
+    lower = ts.take_int("multiplicity lower bound")
     upper: int | None = lower
     if ts.at(".."):
         ts.take()
@@ -342,19 +342,12 @@ def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
             ts.take()
             upper = None
         else:
-            upper = _parse_bound(ts, "multiplicity upper bound")
+            upper = ts.take_int("multiplicity upper bound")
     ts.expect("]")
     try:
         return Multiplicity(lower, upper)
     except ValueError as exc:
         raise ParseError(ts.current.span, str(exc)) from exc
-
-
-def _parse_bound(ts: TokenStream, what: str) -> int:
-    """An INT: a NUMBER without a fraction."""
-    if ts.current.kind != NUMBER or "." in ts.current.value:
-        raise ts.error((what,))
-    return int(ts.take().value)
 
 
 def _parse_metadata_application(ts: TokenStream) -> Element:

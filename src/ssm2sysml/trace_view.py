@@ -21,7 +21,7 @@ element that ultimately supports it:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UnknownMetadataDef, UnknownType
 from .exprs import Expr
@@ -44,20 +44,21 @@ from .sysml_ast import (
     unknown_element,
 )
 
+# Relationships that become one edge from the element to the target.
+_DIRECT = {
+    RelKind.TYPING: "typedBy",
+    RelKind.REDEFINES: "redefines",
+    RelKind.REFINES: "refines",
+    RelKind.SATISFIES: "satisfies",
+    RelKind.EXPOSES: "exposes",
+    RelKind.BINDING: "binds",
+}
+# With objective requirements, the only elements whose edges are hoisted
+# to an enclosing use case or concern.
+_HOISTING = frozenset({ElementKind.ACTOR, ElementKind.STAKEHOLDER, ElementKind.SUBJECT})
+
 EDGE_KINDS = frozenset(
-    {
-        "frames",
-        "satisfies",
-        "subsets",
-        "redefines",
-        "typedBy",
-        "objectiveOf",
-        "performs",
-        "subjectOf",
-        "refines",
-        "exposes",
-        "binds",
-    }
+    {*_DIRECT.values(), "frames", "subsets", "objectiveOf", "performs", "subjectOf"}
 )
 
 
@@ -70,31 +71,34 @@ class TraceEdge:
 
 @dataclass(frozen=True, slots=True)
 class TraceGraph:
+    """Nodes and edges; the node set and each node's outgoing and incoming
+    edges are derived once, eagerly since slots rule out `cached_property`."""
+
     nodes: tuple[QName, ...]
     edges: tuple[TraceEdge, ...]
+    node_set: frozenset[QName] = field(init=False, compare=False, repr=False)
+    outgoing: dict[QName, list[TraceEdge]] = field(init=False, compare=False, repr=False)
+    incoming: dict[QName, list[TraceEdge]] = field(init=False, compare=False, repr=False)
 
-    def forward(self) -> dict[QName, list[TraceEdge]]:
-        index: dict[QName, list[TraceEdge]] = {node: [] for node in self.nodes}
+    def __post_init__(self) -> None:
+        outgoing: dict[QName, list[TraceEdge]] = {}
+        incoming: dict[QName, list[TraceEdge]] = {}
         for edge in self.edges:
-            index[edge.source].append(edge)
-        return index
-
-    def backward(self) -> dict[QName, list[TraceEdge]]:
-        index: dict[QName, list[TraceEdge]] = {node: [] for node in self.nodes}
-        for edge in self.edges:
-            index[edge.target].append(edge)
-        return index
+            outgoing.setdefault(edge.source, []).append(edge)
+            incoming.setdefault(edge.target, []).append(edge)
+        object.__setattr__(self, "node_set", frozenset(self.nodes))
+        object.__setattr__(self, "outgoing", outgoing)
+        object.__setattr__(self, "incoming", incoming)
 
 
 def build_graph(model: Element) -> TraceGraph:
     """One node per element, one edge per relationship instance."""
     index = ModelIndex(model)
     nodes = tuple(path for _, path in index.pairs)
-    node_set = set(nodes)
     edges: list[TraceEdge] = []
 
     def add(source: QName | None, target: QName | None, kind: str) -> None:
-        if source in node_set and target in node_set:
+        if source in index.by_path and target in index.by_path:
             edges.append(TraceEdge(source, target, kind))
 
     use_cases = frozenset({ElementKind.USE_CASE, ElementKind.USE_CASE_DEF})
@@ -102,24 +106,15 @@ def build_graph(model: Element) -> TraceGraph:
 
     for element, path in index.pairs:
         in_objective = element.kind is ElementKind.REQUIREMENT and element.is_objective
-        ucase_path = index.enclosing(path, use_cases)
-        concern_path = index.enclosing(path, concerns)
+        hoists = in_objective or element.kind in _HOISTING
+        ucase_path = index.enclosing(path, use_cases) if hoists else None
+        concern_path = index.enclosing(path, concerns) if hoists else None
 
         for rel in element.relationships:
             target = index.resolve_target(element, rel.target)
             resolved = None if target is None else index.path_of[id(target)]
-            if rel.kind is RelKind.TYPING:
-                add(path, resolved, "typedBy")
-            elif rel.kind is RelKind.REDEFINES:
-                add(path, resolved, "redefines")
-            elif rel.kind is RelKind.REFINES:
-                add(path, resolved, "refines")
-            elif rel.kind is RelKind.SATISFIES:
-                add(path, resolved, "satisfies")
-            elif rel.kind is RelKind.EXPOSES:
-                add(path, resolved, "exposes")
-            elif rel.kind is RelKind.BINDING:
-                add(path, resolved, "binds")
+            if rel.kind in _DIRECT:
+                add(path, resolved, _DIRECT[rel.kind])
             elif rel.kind is RelKind.REFERENCES:
                 if in_objective and ucase_path is not None:
                     add(resolved, ucase_path, "objectiveOf")
@@ -162,18 +157,17 @@ def reach(
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, not {direction!r}")
     path = qname(start) if isinstance(start, str) else start
-    node_set = set(graph.nodes)
-    if path not in node_set:
-        raise unknown_element(path, node_set)
-    adjacency = graph.forward() if direction == "forward" else graph.backward()
+    if path not in graph.node_set:
+        raise unknown_element(path, graph.node_set)
+    forward = direction == "forward"
+    adjacency = graph.outgoing if forward else graph.incoming
     seen = {path}
     frontier = [path]
     while frontier:
-        current = frontier.pop()
-        for edge in adjacency[current]:
+        for edge in adjacency.get(frontier.pop(), ()):
             if kinds is not None and edge.kind not in kinds:
                 continue
-            nxt = edge.target if direction == "forward" else edge.source
+            nxt = edge.target if forward else edge.source
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

@@ -5,6 +5,7 @@ import importlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from ssm2sysml import Element, ElementKind, emit, parse_sysml
 from ssm2sysml.cli import main
 from ssm2sysml.exprs import Lit
 from ssm2sysml.lexing import MAX_NESTING
+from ssm2sysml.mapper import CONSTRAINT_DEPTH
 from ssm2sysml.sysml_ast import package
 
 from mutations import MUTATIONS
@@ -119,6 +121,17 @@ def test_compile_continues_after_failures(tmp_path, capsys):
     assert (out / "Context.sysml").exists()  # ... but good inputs still compile
 
 
+def test_compile_of_a_3000_activity_chain(tmp_path):
+    case = Path(DATA_SSM).read_text()
+    start, end = case.index("        activity a1"), case.index("        monitor m1")
+    chain = [f'        activity a{i} "step {i}" by it\n' for i in range(1, 3001)]
+    chain += [f"        flow a{i} -> a{i + 1}\n" for i in range(1, 3000)]
+    (tmp_path / "chain.ssm").write_text(case[:start] + "".join(chain) + case[end:])
+    done = _cli(tmp_path, "compile", "chain.ssm", "-o", "out")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "perform action a3000 by actor_it" in (tmp_path / "out" / "Context.sysml").read_text()
+
+
 # A non-ASCII digit is a character `int()` rejects or reads as an ASCII one;
 # the lexer takes only [0-9] as digits, so it is a parse error (exit 2).
 NON_ASCII_DIGIT_INPUTS = [
@@ -149,6 +162,31 @@ def test_non_integer_multiplicity_bound_is_a_parse_error(tmp_path, bounds, colum
     assert (done.returncode, done.stderr) == (
         2, f"m.sysml:1:{column}: expected multiplicity {which} bound, found '{bounds[-3:]}'\n"
     )
+
+
+LONG_NUMBER = "9" * 5000
+# case -> (command, file, text holding LONG_NUMBER, text of the token it is reported at)
+LONG_NUMBERS = {
+    "attribute": ("check", "n.sysml", f"package P {{\n    attribute a = {LONG_NUMBER};\n}}\n",
+                  LONG_NUMBER),
+    "bound": ("check", "n.sysml", f"package P {{ part x [0..{LONG_NUMBER}]; }}\n", LONG_NUMBER),
+    "require": ("compile", "n.ssm", Path(DATA_SSM).read_text().replace(
+        '"license.availability > 0"', f'"license.availability > {LONG_NUMBER}"'),
+        '"license.availability'),
+}
+
+
+@pytest.mark.parametrize("case", LONG_NUMBERS)
+def test_number_past_the_digit_limit_is_a_parse_error(tmp_path, case):
+    command, name, text, at = LONG_NUMBERS[case]
+    (tmp_path / name).write_text(text)
+    done = _cli(tmp_path, command, name, *(["-o", "out"] if command == "compile" else []))
+    offset = text.index(at)
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    prefix = "bad constraint expression: " if command == "compile" else ""
+    limit = sys.get_int_max_str_digits()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"{name}:{line}:{col}: {prefix}integer longer than {limit} digits\n"
 
 
 BAD_SYSML = b"package P { part \xff; }\n"
@@ -199,9 +237,10 @@ def _in_view(nest):
 
 
 def _in_requirement(nest):
-    """The case study with one `require` expression `nest`ed `depth` deep."""
+    """The case study with one `require` expression `nest`ed so that, in the
+    bodies where the mapper writes it, it is `depth` deep."""
     def text(depth: int) -> str:
-        nested = nest(depth, "license.availability > 0")
+        nested = nest(depth - CONSTRAINT_DEPTH, "license.availability > 0")
         case = Path(DATA_SSM).read_text()
         return case.replace('require "license.availability > 0"', f'require "{nested}"')
     return text
@@ -215,6 +254,13 @@ def _negated(depth: int, inner: str) -> str:
     return "not " * depth + inner
 
 
+def _minus_chain(depth: int, inner: str) -> str:
+    """Minus signs before `inner`; the printer writes `- -a` as `-(-a)`, so n
+    signs take 2n - 1 levels, and an even `depth` adds one pair of parentheses."""
+    chain = "- " * ((depth + 1) // 2) + inner
+    return chain if depth % 2 else f"({chain})"
+
+
 # construct -> (command, file suffix, text nested `depth` levels deep)
 NESTING = {
     "declarations": ("check", ".sysml", _nested_parts),
@@ -222,6 +268,7 @@ NESTING = {
     "filter-not": ("check", ".sysml", _in_view(_negated)),
     "require-parentheses": ("compile", ".ssm", _in_requirement(_parenthesized)),
     "require-not": ("compile", ".ssm", _in_requirement(_negated)),
+    "require-minus": ("compile", ".ssm", _in_requirement(_minus_chain)),
 }
 
 
@@ -232,6 +279,8 @@ def test_nesting_cap(tmp_path, monkeypatch, capsys, construct):
     monkeypatch.chdir(tmp_path)
     (tmp_path / f"cap{suffix}").write_text(text(MAX_NESTING))
     assert main([command, f"cap{suffix}", *out]) == 0
+    if command == "compile":  # the file written at the limit loads again
+        assert main(["check", "out/Context.sysml"]) == 0
     names = []
     for depth in (MAX_NESTING + 1, 1500):
         names.append(f"deep{depth}{suffix}")
@@ -385,6 +434,20 @@ def test_explain_rule(capsys):
     out = capsys.readouterr().out
     assert out.startswith("R-ACT-1")
     assert "subset" in out
+
+
+# A diagnostic code as a string literal in the program: SSM-001, W-NOCM, R-ACT-1.
+CODE_LITERAL = re.compile(r'"(SSM-\d{3}|W-[A-Z]+|R-[A-Z]+-\d+)"')
+
+
+def test_every_code_in_the_program_explains(capsys):
+    source = REPO / "src" / "ssm2sysml"
+    codes = {c for p in source.glob("*.py") for c in CODE_LITERAL.findall(p.read_text())}
+    assert {"SSM-001", "SSM-005", "W-DUPNAME", "W-NOCM", "W-NOEXPR", "R-OWN-1"} <= codes
+    assert len(codes) == 18  # five SSM codes, three warnings, ten rules
+    for code in sorted(codes):
+        assert main(["explain", code]) == 0, code
+        assert capsys.readouterr().out.startswith(f"{code} (")
 
 
 def test_explain_unknown_rule(capsys):

@@ -70,6 +70,8 @@ def test_unknown_rule_id_raises(case_model):
         check(case_model, ["R-NOPE-9"])
     with pytest.raises(UnknownRule):
         explain("R-NOPE-9")
+    with pytest.raises(UnknownRule):  # explained, but not a conformance rule
+        check(case_model, ["SSM-003"])
 
 
 def test_diagnostics_ordered_by_path_then_rule(case_model):

@@ -1,6 +1,7 @@
 """Validation of the soft-systems domain model (SSM-001..SSM-005)."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from ssm2sysml import (
     Transformation,
     validate_context,
 )
+from ssm2sysml.ssm_model import _find_cycle
 
 from ssm_gen import gen_context
 
@@ -83,7 +85,7 @@ def test_flow_cycle_is_ssm_003(case_ctx):
     bad_cm = replace(cm, flows=cm.flows + (Flow(IdRef("a4"), IdRef("a2")),))
     diags = validate_context(replace(case_ctx, conceptual_models=(bad_cm,)))
     assert _codes(diags) == ["SSM-003"]
-    assert " -> " in diags[0].message  # the cycle itself is reported
+    assert diags[0].message == "conceptual model flows contain a cycle: a2 -> a3 -> a4 -> a2"
 
 
 def test_self_loop_is_a_cycle(case_ctx):
@@ -92,6 +94,64 @@ def test_self_loop_is_a_cycle(case_ctx):
     assert _codes(validate_context(replace(case_ctx, conceptual_models=(bad_cm,)))) == [
         "SSM-003"
     ]
+    assert _find_cycle(bad_cm) == ["a1", "a1"]
+
+
+# Flows added to the case study's chain a1 -> ... -> a5, and the cycle reported:
+# the first one a depth-first search meets, taking flows in declaration order.
+CYCLES = [
+    ([("a5", "a1")], "a1 -> a2 -> a3 -> a4 -> a5 -> a1"),
+    ([("a3", "a1"), ("a5", "a4")], "a4 -> a5 -> a4"),
+    ([("a2", "a5"), ("a5", "a3")], "a3 -> a4 -> a5 -> a3"),
+]
+
+
+@pytest.mark.parametrize("flows, cycle", CYCLES)
+def test_cycle_reported_is_the_first_found(case_ctx, flows, cycle):
+    cm = case_ctx.conceptual_models[0]
+    bad_cm = replace(cm, flows=cm.flows + tuple(Flow(IdRef(a), IdRef(b)) for a, b in flows))
+    diags = validate_context(replace(case_ctx, conceptual_models=(bad_cm,)))
+    assert [d.message for d in diags] == [f"conceptual model flows contain a cycle: {cycle}"]
+
+
+def _recursive_cycle(cm: ConceptualModel) -> list[str] | None:
+    """Reference: the recursive three-colour search, for graphs shallow enough to recurse."""
+    adjacency = {a.id: [] for a in cm.activities}
+    for flow in cm.flows:
+        if flow.source.id in adjacency and flow.target.id in adjacency:
+            adjacency[flow.source.id].append(flow.target.id)
+    color = dict.fromkeys(adjacency, "white")
+    stack: list[str] = []
+
+    def visit(node):
+        color[node] = "grey"
+        stack.append(node)
+        for nxt in adjacency[node]:
+            if color[nxt] == "grey":
+                return stack[stack.index(nxt):] + [nxt]
+            if color[nxt] == "white" and (found := visit(nxt)):
+                return found
+        stack.pop()
+        color[node] = "black"
+        return None
+
+    for node in adjacency:
+        if color[node] == "white" and (found := visit(node)):
+            return found
+    return None
+
+
+def test_find_cycle_matches_recursive_search():
+    rng = random.Random(0)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        acts = tuple(Activity(f"a{i}", "x", IdRef("p")) for i in range(n))
+        flows = tuple(
+            Flow(IdRef(f"a{rng.randrange(n + 1)}"), IdRef(f"a{rng.randrange(n)}"))
+            for _ in range(rng.randint(0, 12))
+        )
+        cm = ConceptualModel(IdRef("rd"), acts, flows)
+        assert _find_cycle(cm) == _recursive_cycle(cm)
 
 
 def test_duplicate_io_name_is_ssm_004(case_ctx):

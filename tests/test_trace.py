@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -167,6 +167,67 @@ def test_adding_an_edge_never_shrinks_reach(case_model):
     )
     for start in (("Context", "newHire"), ("Context", "resources")):
         assert reach(graph, start, "forward") <= reach(bigger, start, "forward")
+
+
+def _regrouped(edges, end: str) -> dict:
+    groups: dict = {}
+    for edge in edges:
+        groups.setdefault(getattr(edge, end), []).append(edge)
+    return groups
+
+
+@pytest.mark.parametrize("source", ["case", "kettle", *range(40)])
+def test_adjacency_regroups_the_edges(case_model, kettle_model, source):
+    model = {"case": case_model, "kettle": kettle_model}.get(source) or gen_model(source)
+    graph = build_graph(model)
+    assert graph.node_set == frozenset(graph.nodes)
+    assert graph.outgoing == _regrouped(graph.edges, "source")
+    assert graph.incoming == _regrouped(graph.edges, "target")
+    # The adjacency holds the graph's own edge objects, not copies.
+    held = {id(e) for group in graph.outgoing.values() for e in group}
+    assert held == {id(e) for e in graph.edges}
+
+
+def test_hand_built_graph_compares_by_nodes_and_edges():
+    a, b, c = ("P",), ("P", "a"), ("P", "b")
+    edges = (TraceEdge(b, a, "typedBy"), TraceEdge(c, b, "subsets"))
+    graph = TraceGraph((a, b, c), edges)
+    assert reach(graph, c, "forward") == {a, b, c}
+    assert reach(graph, a, "backward", frozenset({"typedBy"})) == {a, b}
+    same = TraceGraph((a, b, c), tuple(edges))
+    assert graph == same and hash(graph) == hash(same)
+    assert {graph: 1}[same] == 1
+    assert graph != TraceGraph((a, b, c), edges[:1])
+    assert repr(graph) == f"TraceGraph(nodes={(a, b, c)!r}, edges={edges!r})"
+    assert [f.name for f in fields(TraceGraph) if f.compare] == ["nodes", "edges"]
+    shorter = replace(graph, edges=edges[:1])
+    assert reach(shorter, c, "forward") == {c}
+    with pytest.raises(FrozenInstanceError):
+        graph.outgoing = {}
+
+
+class _SealedEdges(tuple):
+    """Edges that may be iterated while a graph is built from them, not after."""
+
+    sealed = False
+
+    def __iter__(self):
+        if self.sealed:
+            raise AssertionError("graph.edges iterated after construction")
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_reach_never_iterates_the_edges(case_model, direction):
+    graph = build_graph(case_model)
+    edges = _SealedEdges(graph.edges)
+    sealed = TraceGraph(graph.nodes, edges)
+    edges.sealed = True
+    for start in graph.nodes:
+        for kinds in (None, GOLDEN_KINDS):
+            assert reach(sealed, start, direction, kinds) == reach(graph, start, direction, kinds)
+    with pytest.raises(AssertionError):
+        list(sealed.edges)
 
 
 def test_graph_survives_round_trip(case_model):
