@@ -82,7 +82,7 @@ def _check_act_1(ctx: _Context) -> list[Diagnostic]:
             continue
         ok = any(
             target.kind is ElementKind.INDIVIDUAL
-            and index.path_of[id(target)][: len(ucase)] != ucase
+            and index.path(target)[: len(ucase)] != ucase
             for target in index.targets(element, RelKind.SUBSETS)
         )
         if not ok:

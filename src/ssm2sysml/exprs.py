@@ -7,9 +7,12 @@ enum literals (``Enum::Value``), ``+ - * /``, comparisons, and
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
+from .errors import ParseError
 from .lexing import IDENT, NUMBER, STRING, TokenStream, lex, quote
 
 Expr = Union["Ref", "Lit", "EnumLit", "Unary", "Binary"]
@@ -25,6 +28,17 @@ class Ref:
 @dataclass(frozen=True, slots=True)
 class Lit:
     value: int | float | str | bool
+
+    def __post_init__(self) -> None:
+        """Refuse a number with no notation: inf, nan, or more digits than `int()` reads."""
+        value = self.value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"literal {value!r} is not a finite number")
+        # A set digit limit is at least 640, and 3 * 640 bits make fewer digits.
+        if isinstance(value, int) and value.bit_length() > 3 * 640:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and abs(value) >= 10**limit:
+                raise ValueError(f"integer literal longer than {limit} digits")
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +118,8 @@ def _parse(ts: TokenStream, min_prec: int) -> Expr:
 def _parse_atom(ts: TokenStream) -> Expr:
     tok = ts.current
     if tok.kind == NUMBER:
+        if "." in tok.value and math.isinf(float(tok.value)):
+            raise ParseError(tok.span, "number out of floating-point range")
         return Lit(float(ts.take().value) if "." in tok.value else ts.take_int("a number"))
     if tok.kind == STRING:
         ts.take()

@@ -719,11 +719,11 @@ def map_context(
     index = ModelIndex(model)
     provenance: list[ProvenanceEntry] = []
     for ind in ctx.individuals:
-        path = index.path_of.get(id(_find_occurrence(individuals, ind.id)))
+        path = index.path(_find_occurrence(individuals, ind.id))
         if path is not None:
             provenance.append(ProvenanceEntry(qname_text(path), ind.span, None))
     for element, role in prov_roles:
-        path = index.path_of.get(id(element))
+        path = index.path(element)
         if path is not None:
             provenance.append(ProvenanceEntry(qname_text(path), element.span, role))
 

@@ -252,15 +252,27 @@ def walk(model: Element) -> list[tuple[Element, QName]]:
 
 
 def iter_walk(model: Element) -> Iterator[tuple[Element, QName]]:
-    return _walk(model, (), 0)
+    return _walk(model, (_segment(model, 0),))
 
 
-def _walk(element: Element, prefix: QName, index: int) -> Iterator[tuple[Element, QName]]:
-    segment = element.name if element.name else f"{element.kind.value}@{index}"
-    path = prefix + (segment,)
-    yield element, path
-    for i, child in enumerate(element.children):
-        yield from _walk(child, path, i)
+def _segment(element: Element, index: int) -> str:
+    return element.name if element.name else f"{element.kind.value}@{index}"
+
+
+def _walk(top: Element, top_path: QName) -> Iterator[tuple[Element, QName]]:
+    """`top` at `top_path` and all below it in document order, lazily, without recursion."""
+    yield top, top_path
+    stack = [(top_path, enumerate(top.children))]
+    while stack:
+        path, children = stack[-1]
+        for i, child in children:
+            child_path = path + (_segment(child, i),)
+            yield child, child_path
+            if child.children:
+                stack.append((child_path, enumerate(child.children)))
+                break
+        else:
+            stack.pop()
 
 
 def resolve(model: Element, qualified_name: str | QName) -> Element:
@@ -305,35 +317,88 @@ def _lookup_child(element: Element, name: str) -> Element | None:
 
 
 class ModelIndex:
-    """Path and identity indices over one model.
+    """Path and identity indices over one model, built a namespace at a time.
 
     The only code that resolves relationship targets and walks
     ancestors; check, build_graph and render_view each build one per
-    call and share it across their rules and queries.
+    call and share it across their rules and queries.  A lookup opens
+    only the namespaces on its way to a name, mapping each member segment
+    to every child at that path.  Using `pairs` or `by_path` walks the
+    whole model; lookups then probe `by_path`.
     """
 
     def __init__(self, model: Element) -> None:
         self.model = model
-        self.pairs = list(iter_walk(model))
-        self.by_path: dict[QName, Element] = {p: e for e, p in self.pairs}
-        self.path_of: dict[int, QName] = {id(e): p for e, p in self.pairs}
+        self._pairs: list[tuple[Element, QName]] | None = None
+        self._by_path: dict[QName, Element] | None = None
+        self._paths: dict[int, QName] = {}
+        self._members: dict[QName, dict[str, list[Element]]] = {}
         self._meta_cache: dict[int, tuple[Element, ...]] = {}
+
+    def _walk_all(self) -> list[tuple[Element, QName]]:
+        if self._pairs is None:
+            self._pairs = walk(self.model)
+            self._by_path = {p: e for e, p in self._pairs}
+            self._paths = {id(e): p for e, p in self._pairs}
+        return self._pairs
+
+    pairs = property(_walk_all, doc="Every (element, path) in document order.")
+
+    @property
+    def by_path(self) -> dict[QName, Element]:
+        """Each path's element; where paths repeat, the last in document order."""
+        self._walk_all()
+        return self._by_path
+
+    def path(self, element: Element) -> QName | None:
+        """The element's path; one that no lookup has reached completes the walk."""
+        if self._pairs is None and id(element) not in self._paths:
+            self._walk_all()
+        return self._paths.get(id(element))
+
+    def get(self, path: QName) -> Element | None:
+        """The element `by_path` holds for `path`, or None, without walking the model."""
+        found = self._at(path)
+        return found[-1] if found else None
+
+    def _at(self, path: QName) -> list[Element]:
+        """Every element at `path` in document order, opening the namespaces above it."""
+        found = [self.model] if path[:1] == (_segment(self.model, 0),) else []
+        for depth in range(1, len(path)):
+            members = self._members.get(path[:depth])
+            if members is None:
+                members = self._members[path[:depth]] = {}
+                for owner in found:
+                    for i, child in enumerate(owner.children):
+                        members.setdefault(_segment(child, i), []).append(child)
+            found = members.get(path[depth], [])
+        for element in found:
+            self._paths[id(element)] = path
+        return found
+
+    def subtree(self, path: QName) -> Iterator[tuple[Element, QName]]:
+        """Every element at `path` or below it, with its path, in document order."""
+        for top in self._at(path):
+            for element, inner in _walk(top, path):
+                self._paths[id(element)] = inner
+                yield element, inner
 
     def resolve_relative(self, owner_path: QName, target: QName) -> Element | None:
         """Resolve `target` lexically: innermost enclosing namespace outward.
 
         Returns None when nothing matches.
         """
+        get = self.get if self._by_path is None else self._by_path.get
         for cut in range(len(owner_path) - 1, -1, -1):
-            candidate = owner_path[:cut] + target
-            if candidate in self.by_path:
-                return self.by_path[candidate]
-        if target[:1] == (self.model.name,) and target in self.by_path:
-            return self.by_path[target]
+            found = get(owner_path[:cut] + target)
+            if found is not None:
+                return found
+        if target[:1] == (self.model.name,):
+            return get(target)
         return None
 
     def resolve_target(self, element: Element, target: QName) -> Element | None:
-        owner = self.path_of.get(id(element))
+        owner = self.path(element)
         if owner is None:
             return None
         return self.resolve_relative(owner, target)
@@ -378,16 +443,3 @@ class ModelIndex:
             self._meta_cache[key] = tuple(apps)
         return self._meta_cache[key]
 
-
-def duplicate_names(model: Element) -> list[QName]:
-    """Paths of namespaces containing duplicate member names."""
-    bad: list[QName] = []
-    for element, path in iter_walk(model):
-        seen: set[str] = set()
-        for child in element.children:
-            if child.name is None:
-                continue
-            if child.name in seen:
-                bad.append(path + (child.name,))
-            seen.add(child.name)
-    return bad

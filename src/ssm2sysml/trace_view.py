@@ -39,6 +39,7 @@ from .sysml_ast import (
     ModelIndex,
     QName,
     RelKind,
+    iter_walk,
     qname,
     qname_text,
     unknown_element,
@@ -95,10 +96,11 @@ def build_graph(model: Element) -> TraceGraph:
     """One node per element, one edge per relationship instance."""
     index = ModelIndex(model)
     nodes = tuple(path for _, path in index.pairs)
+    by_path = index.by_path
     edges: list[TraceEdge] = []
 
     def add(source: QName | None, target: QName | None, kind: str) -> None:
-        if source in index.by_path and target in index.by_path:
+        if source in by_path and target in by_path:
             edges.append(TraceEdge(source, target, kind))
 
     use_cases = frozenset({ElementKind.USE_CASE, ElementKind.USE_CASE_DEF})
@@ -112,7 +114,7 @@ def build_graph(model: Element) -> TraceGraph:
 
         for rel in element.relationships:
             target = index.resolve_target(element, rel.target)
-            resolved = None if target is None else index.path_of[id(target)]
+            resolved = None if target is None else index.path(target)
             if rel.kind in _DIRECT:
                 add(path, resolved, _DIRECT[rel.kind])
             elif rel.kind is RelKind.REFERENCES:
@@ -142,7 +144,7 @@ def build_graph(model: Element) -> TraceGraph:
                 occurrences = index.targets(resolved, RelKind.SUBSETS)
                 resolved = occurrences[0] if occurrences else resolved
             if resolved is not None:
-                add(path, index.path_of[id(resolved)], "performs")
+                add(path, index.path(resolved), "performs")
 
     return TraceGraph(nodes, tuple(edges))
 
@@ -202,12 +204,12 @@ def _validate_atoms(index: ModelIndex, expr: FilterExpr) -> None:
         name = expr.metadata_def[-1]
         if not any(
             el.kind is ElementKind.METADATA_DEF and el.name == name
-            for el, _ in index.pairs
+            for el, _ in iter_walk(index.model)
         ):
             raise UnknownMetadataDef(name)
     elif isinstance(expr, FTyped):
         name = expr.type_name[-1]
-        if not any(el.name == name and el.is_def for el, _ in index.pairs):
+        if not any(el.name == name and el.is_def for el, _ in iter_walk(index.model)):
             raise UnknownType(name)
 
 
@@ -261,7 +263,7 @@ def _typing_reaches(index: ModelIndex, element: Element, type_name: QName) -> bo
 def _names_match(index: ModelIndex, element: Element, type_name: QName) -> bool:
     if len(type_name) == 1:
         return element.name == type_name[0]
-    path = index.path_of.get(id(element))
+    path = index.path(element)
     return path is not None and path[-len(type_name):] == type_name
 
 
@@ -273,41 +275,33 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
     """Exposed subtrees intersected with the view's filter, plus a report."""
     path = qname(view_path) if isinstance(view_path, str) else view_path
     index = ModelIndex(model)
-    view = index.by_path.get(path)
+    view = index.get(path)
     if view is None and len(path) == 1:
         # Allow addressing a top-level view without the package prefix.
         full = (model.name or "",) + path
-        view = index.by_path.get(full)
+        view = index.get(full)
         path = full if view is not None else path
     if view is None or view.kind is not ElementKind.VIEW:
         raise unknown_element(path, index.by_path)
 
-    exposed: set[QName] = set()
-    for rel in view.rels(RelKind.EXPOSES):
-        target = index.resolve_target(view, rel.target)
-        if target is None:
-            continue
-        root = index.path_of[id(target)]
-        exposed |= {
-            p for _, p in index.pairs if p[: len(root)] == root
-        }
-    if view.filter is not None and exposed:
+    roots = dict.fromkeys(index.path(t) for t in index.targets(view, RelKind.EXPOSES))
+    members = [pair for root in roots for pair in index.subtree(root)]
+    # Where paths repeat, the report names the last element's kind, as `by_path` would.
+    kinds = {p: element.kind for element, p in members}
+    exposed = set(kinds)
+    if view.filter is not None and members:
         _validate_atoms(index, view.filter)
-        exposed = {
-            p for element, p in index.pairs
-            if p in exposed and _matches(index, element, view.filter)
-        }
+        exposed = {p for element, p in members if _matches(index, element, view.filter)}
 
-    report = _grouped_report(index, view, exposed)
+    report = _grouped_report(view, exposed, kinds)
     return exposed, report
 
 
-def _grouped_report(index: ModelIndex, view: Element, paths: set[QName]) -> str:
+def _grouped_report(view: Element, paths: set[QName], kinds: dict[QName, ElementKind]) -> str:
     lines = [f"view {view.name!r}: {len(paths)} elements"]
     groups: dict[str, list[str]] = {}
     for path in paths:
-        element = index.by_path[path]
-        groups.setdefault(element.kind.value, []).append(qname_text(path))
+        groups.setdefault(kinds[path].value, []).append(qname_text(path))
     for kind in sorted(groups):
         lines.append(f"  {kind}:")
         for name in sorted(groups[kind]):

@@ -189,6 +189,27 @@ def test_number_past_the_digit_limit_is_a_parse_error(tmp_path, case):
     assert done.stderr == f"{name}:{line}:{col}: {prefix}integer longer than {limit} digits\n"
 
 
+HUGE_FRACTION = "9" * 400 + ".5"  # float() gives inf
+# case -> (command, file, text holding HUGE_FRACTION)
+HUGE_FRACTIONS = {
+    "require": ("compile", "f.ssm", Path(DATA_SSM).read_text().replace(
+        '"license.availability > 0"', f'"license.availability > {HUGE_FRACTION}"')),
+    "constraint": ("check", "f.sysml", "package P {\n    attribute a;\n"
+                   f"    constraint c {{ a > {HUGE_FRACTION} }}\n}}\n"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_FRACTIONS)
+def test_number_past_the_float_range_is_a_parse_error(tmp_path, case):
+    command, name, text = HUGE_FRACTIONS[case]
+    (tmp_path / name).write_text(text)
+    done = _cli(tmp_path, command, name, *(["-o", "out"] if command == "compile" else []))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"{name}:")
+    assert done.stderr.endswith("number out of floating-point range\n")
+    assert not (tmp_path / "out" / "Context.sysml").exists()
+
+
 BAD_SYSML = b"package P { part \xff; }\n"
 # command -> (file, its bytes, further arguments, undecodable byte, reason)
 UNDECODABLE = {

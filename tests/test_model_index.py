@@ -31,6 +31,7 @@ from ssm2sysml import (
     parse_sysml,
     render_view,
 )
+from ssm2sysml import sysml_ast
 from ssm2sysml.exprs import EnumLit
 from ssm2sysml.sysml_ast import (
     FAnd,
@@ -155,6 +156,31 @@ def test_one_index_per_call(monkeypatch):
         built.clear()
         call()
         assert built == [model]
+
+
+def test_render_view_indexes_only_the_namespaces_it_touches(monkeypatch):
+    indices = []
+    original = ModelIndex.__init__
+
+    def capturing_init(self, model):
+        indices.append(self)
+        original(self, model)
+
+    def no_full_walk(model):
+        raise AssertionError("render_view walked the whole model")
+
+    monkeypatch.setattr(ModelIndex, "__init__", capturing_init)
+    monkeypatch.setattr(sysml_ast, "walk", no_full_walk)
+    model = _models()["case+views"]
+    elements = sum(1 for _ in iter_walk(model))
+    for name, exposed in (("tagged", 3), ("all", 24)):
+        indices.clear()
+        paths, _ = render_view(model, name)
+        assert len(paths) == exposed
+        [index] = indices
+        # The root, the view, its exposed subtrees and their typing targets:
+        # 25 and 26 of the 74 elements.
+        assert len(index._paths) < elements / 2
 
 
 if __name__ == "__main__":

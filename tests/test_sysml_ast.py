@@ -1,16 +1,28 @@
 """AST traversal, resolution, and metadata inheritance."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from ssm2sysml import AmbiguousName, Element, ElementKind, UnknownElement, resolve, walk
+from ssm2sysml import (
+    AmbiguousName,
+    Element,
+    ElementKind,
+    UnknownElement,
+    build_graph,
+    resolve,
+    walk,
+)
 from ssm2sysml.exprs import EnumLit
+from ssm2sysml.trace_view import TraceEdge
 from ssm2sysml.sysml_ast import (
     ModelIndex,
     Multiplicity,
     RelKind,
+    QName,
     Relationship,
-    duplicate_names,
+    iter_walk,
     package,
     qname,
     qname_text,
@@ -43,6 +55,29 @@ def test_walk_is_document_order(kettle_model):
     paths = [p for _, p in walk(kettle_model)]
     assert paths[0] == ("Kettle",)
     assert paths[1][:2] == ("Kettle", "Person")
+
+
+def test_walk_index_and_graph_of_a_chain_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 200
+    # Each level holds an unnamed comment before the next part, so every
+    # path also passes through `kind@index` segments of its parent.
+    typed = (Relationship(RelKind.TYPING, ("T",)),)
+    inner = Element(ElementKind.PART, name="a", relationships=typed)
+    for _ in range(depth - 1):
+        comment = Element(ElementKind.COMMENT, doc="c")
+        inner = Element(ElementKind.PART, name="a", children=(comment, inner))
+    model = package("P", Element(ElementKind.PART_DEF, name="T"), inner)
+    expected = [("P",), ("P", "T")]
+    for level in range(1, depth + 1):
+        expected.append(("P",) + ("a",) * level)
+        if level < depth:
+            expected.append(("P",) + ("a",) * level + ("comment@0",))
+    pairs = walk(model)
+    assert [path for _, path in pairs] == expected
+    assert [path for _, path in ModelIndex(model).pairs] == expected
+    graph = build_graph(model)
+    assert graph.nodes == tuple(expected)
+    assert graph.edges == (TraceEdge(("P",) + ("a",) * depth, ("P", "T"), "typedBy"),)
 
 
 def test_unnamed_elements_get_synthetic_segments(case_model):
@@ -158,6 +193,20 @@ def test_effective_metadata_is_independent_of_query_order():
         assert tags == {"B": everything, "C": everything, "E": {("ME",)}}
     # Each reachable element contributes its applications once.
     assert len(ModelIndex(model).effective_metadata(c)) == 3
+
+
+def duplicate_names(model: Element) -> list[QName]:
+    """Paths of namespaces containing duplicate member names."""
+    bad: list[QName] = []
+    for element, path in iter_walk(model):
+        seen: set[str] = set()
+        for child in element.children:
+            if child.name is None:
+                continue
+            if child.name in seen:
+                bad.append(path + (child.name,))
+            seen.add(child.name)
+    return bad
 
 
 def test_duplicate_names_detection():

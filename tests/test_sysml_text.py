@@ -11,7 +11,7 @@ from ssm2sysml import (
     emit,
     parse_sysml,
 )
-from ssm2sysml.exprs import expr_to_text, parse_expr_text
+from ssm2sysml.exprs import Lit, expr_to_text, parse_expr_text
 from ssm2sysml.sysml_ast import RelKind, iter_walk, package
 
 from model_gen import gen_expr, gen_model, kitchen_sink
@@ -186,3 +186,24 @@ def test_string_literal_escapes():
 def test_enum_literal_expression():
     text = "CatwoeElement::Actor"
     assert expr_to_text(parse_expr_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), float("-inf"), float("nan"), 10**4300, -(10**5000)],
+    ids=["inf", "-inf", "nan", "4301-digits", "-5001-digits"],
+)
+def test_literal_without_a_notation_cannot_be_built(value):
+    with pytest.raises(ValueError):
+        Lit(value)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(10**4300 - 1, "9" * 4300), (-(10**4300 - 1), "-" + "9" * 4300), (2**1920, str(2**1920)),
+     (1.7976931348623157e308, "1.7976931348623157e+308"), (0.5, "0.5")],
+    ids=["4300-digits", "-4300-digits", "1921-bits", "max-float", "fraction"],
+)
+def test_every_literal_that_can_be_built_emits(value, text):
+    model = package("P", Element(ElementKind.ATTRIBUTE, name="a", value=Lit(value)))
+    assert emit(model) == f"package P {{\n    attribute a = {text};\n}}\n"
