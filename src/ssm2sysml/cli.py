@@ -3,24 +3,18 @@
 Exit codes: 0 = success/conformant, 1 = error-severity diagnostics,
 2 = parse/IO/usage error.  The code reflects the worst outcome across
 all inputs.  Outputs are deterministic: no timestamps, stable ordering.
+Each subcommand imports only the modules it runs, because every call is
+a fresh process that would otherwise load the whole package.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import conformance
 from .diagnostics import Diagnostic
 from .errors import ParseError, UnknownElement, UnknownRule
-from .mapper import MappingOptions, map_context
-from .ssm_model import validate_context
-from .ssm_parser import parse_ssm
-from .sysml_ast import qname_text
-from .sysml_text import emit, parse_sysml
-from .trace_view import EDGE_KINDS, build_graph, query_json, reach, render_view
 
 OK, DIAGNOSTICS, FAULT = 0, 1, 2
 
@@ -50,6 +44,11 @@ def _load(parse, path: str):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .mapper import MappingOptions, map_context
+    from .ssm_model import validate_context
+    from .ssm_parser import parse_ssm
+    from .sysml_text import emit
+
     color = _color_enabled()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -72,6 +71,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         target = out_dir / f"{ctx.name}.sysml"
         target.write_text(emit(model), encoding="utf-8")
         if args.report:
+            import json
+
             report_path = out_dir / f"{ctx.name}.report.json"
             report_path.write_text(
                 json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
@@ -81,6 +82,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .conformance import check
+    from .sysml_text import parse_sysml
+
     color = _color_enabled()
     rule_ids = args.rules.split(",") if args.rules else None
     worst = OK
@@ -91,7 +95,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             worst = max(worst, FAULT)
             continue
         try:
-            diagnostics = conformance.check(model, rule_ids)
+            diagnostics = check(model, rule_ids)
         except UnknownRule as exc:
             print(f"unknown rule id {exc.args[0]!r}", file=sys.stderr)
             return FAULT
@@ -99,6 +103,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if any(d.is_error for d in diagnostics):
             worst = max(worst, DIAGNOSTICS)
     if args.format == "json":
+        import json
+
         print(json.dumps([d.to_json() for d in collected], indent=2))
     else:
         for diag in collected:
@@ -107,6 +113,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from .sysml_ast import qname_text
+    from .sysml_text import parse_sysml
+    from .trace_view import EDGE_KINDS, build_graph, query_json, reach
+
     model = _load(parse_sysml, args.model)
     if model is None:
         return FAULT
@@ -128,6 +138,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return FAULT
     if args.format == "json":
+        import json
+
         query = f"trace {direction} from {args.source}"
         print(json.dumps(query_json(query, result), indent=2))
     else:
@@ -137,6 +149,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_view(args: argparse.Namespace) -> int:
+    from .sysml_text import parse_sysml
+    from .trace_view import query_json, render_view
+
     model = _load(parse_sysml, args.model)
     if model is None:
         return FAULT
@@ -146,6 +161,8 @@ def cmd_view(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return FAULT
     if args.format == "json":
+        import json
+
         print(json.dumps(query_json(f"view {args.view}", elements), indent=2))
     else:
         print(report)
@@ -153,8 +170,10 @@ def cmd_view(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    from .conformance import explain
+
     try:
-        print(conformance.explain(args.rule))
+        print(explain(args.rule))
     except UnknownRule:
         print(f"unknown rule id {args.rule!r}", file=sys.stderr)
         return FAULT

@@ -21,8 +21,16 @@ from typing import Callable, Iterable
 from .diagnostics import COMPILE_CODES, Code, Diagnostic, Severity
 from .errors import UnknownRule
 from .exprs import EnumLit, Lit
-from .mapper import CATWOE_DEF, RATIONALE_DEF
-from .sysml_ast import Element, ElementKind, ModelIndex, QName, RelKind, qname_text
+from .sysml_ast import (
+    CATWOE_DEF,
+    RATIONALE_DEF,
+    Element,
+    ElementKind,
+    ModelIndex,
+    QName,
+    RelKind,
+    qname_text,
+)
 
 Checker = Callable[["_Context"], list[Diagnostic]]
 

@@ -30,7 +30,8 @@ class Lit:
     value: int | float | str | bool
 
     def __post_init__(self) -> None:
-        """Refuse a number with no notation: inf, nan, or more digits than `int()` reads."""
+        """Refuse a number with no notation: inf, nan, more digits than `int()` reads,
+        or a sign (-0.0 too), since the parsers read `-n` as a `Unary`."""
         value = self.value
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"literal {value!r} is not a finite number")
@@ -39,6 +40,10 @@ class Lit:
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             if limit and abs(value) >= 10**limit:
                 raise ValueError(f"integer literal longer than {limit} digits")
+        if not isinstance(value, str) and (
+            value < 0 or value == 0 and math.copysign(1.0, value) < 0
+        ):
+            raise ValueError(f"literal {value!r} is negative; build Unary('-', Lit({-value!r}))")
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +183,14 @@ def _render(expr: Expr, parent_prec: int) -> str:
             return "true" if expr.value else "false"
         if isinstance(expr.value, str):
             return quote(expr.value)
-        return repr(expr.value)
+        text = repr(expr.value)
+        if "e" in text:  # the same shortest digits, positional, so that they lex as a NUMBER
+            from decimal import Decimal
+
+            text = format(Decimal(text), "f")
+            if "." not in text:
+                text += ".0"
+        return text
     if isinstance(expr, Ref):
         return ".".join(expr.path)
     if isinstance(expr, EnumLit):
@@ -192,9 +204,9 @@ def _render(expr: Expr, parent_prec: int) -> str:
         return f"({body})" if prec < parent_prec else body
     assert isinstance(expr, Binary)
     prec = _prec_of(expr)
-    left = _render(expr.left, prec)
     # Right operand of a left-associative chain needs parens at equal precedence;
-    # comparisons do not chain at all.
+    # comparisons do not chain at all, so neither of their operands may be one.
+    left = _render(expr.left, prec + 1 if prec == _PREC["=="] else prec)
     right = _render(expr.right, prec + 1)
     body = f"{left} {expr.op} {right}"
     return f"({body})" if prec < parent_prec else body

@@ -29,6 +29,8 @@ EOF = "eof"
 
 # Declarations, filters and expressions may nest this deep, together.
 MAX_NESTING = 256
+# `compile` writes each constraint inside a package body and a requirement-def body.
+CONSTRAINT_DEPTH = 2
 
 _UNESCAPE = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
 _ESCAPE_RE = re.compile(r"\\(.)")

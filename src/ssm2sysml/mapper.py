@@ -28,6 +28,8 @@ from .ssm_model import (
     validate_context,
 )
 from .sysml_ast import (
+    CATWOE_DEF,
+    RATIONALE_DEF,
     Element,
     ElementKind,
     ModelIndex,
@@ -37,9 +39,7 @@ from .sysml_ast import (
     qname_text,
 )
 
-CATWOE_DEF = "CATWOE"
 CATWOE_ENUM = "CatwoeElement"
-RATIONALE_DEF = "Rationale"
 
 
 @dataclass(frozen=True)
@@ -271,9 +271,8 @@ def environment_def(options: MappingOptions = DEFAULT_OPTIONS) -> Element:
     )
 
 
-CONSTRAINT_DEPTH = 2  # the package and requirement-def bodies around each constraint written below
-
-
+# `lexing.CONSTRAINT_DEPTH` counts the package and requirement-def bodies
+# written around each constraint.
 def _ec_requirement(
     ec: EnvConstraint, names: dict[str, str], options: MappingOptions
 ) -> Element:

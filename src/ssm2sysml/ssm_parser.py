@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .exprs import Expr, expr_to_text, parse_expr_text
-from .lexing import EOF, IDENT, STRING, Token, TokenStream, lex, quote
-from .mapper import CONSTRAINT_DEPTH
+from .lexing import CONSTRAINT_DEPTH, EOF, IDENT, STRING, Token, TokenStream, lex, quote
 from .source import SourceSpan
 from .ssm_model import (
     Activity,

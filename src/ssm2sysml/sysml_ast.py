@@ -18,6 +18,10 @@ from .source import SourceSpan
 
 QName = tuple[str, ...]
 
+# The metadata definitions the mapper writes into every package and the rules read.
+CATWOE_DEF = "CATWOE"
+RATIONALE_DEF = "Rationale"
+
 
 def qname(text: str) -> QName:
     """Split a dotted path into segments (no quoting support here)."""

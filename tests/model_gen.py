@@ -3,9 +3,8 @@
 Used by the round-trip property tests: every element kind and every
 relationship kind appears somewhere in a few hundred generated models.
 The generator stays inside what the canonical printer can represent:
-no negative numeric literals, no comparison nested directly inside a
-comparison's left operand, no exponent-notation floats, and no `*/` or
-newlines in doc text.
+no `*/` or newlines in doc text.  A negative number is `Unary('-', ...)`,
+the only form `Lit` admits.
 """
 from __future__ import annotations
 
@@ -83,11 +82,8 @@ def _gen_not(rng: random.Random, depth: int) -> Expr:
 
 def _gen_cmp(rng: random.Random, depth: int) -> Expr:
     if depth > 0 and rng.random() < 0.4:
-        # Comparison operands come from the additive level: comparisons
-        # do not chain, and the printer would not re-parenthesize them.
-        return Binary(
-            rng.choice(CMP_OPS), gen_operand(rng, depth - 1), gen_operand(rng, depth - 1)
-        )
+        # Either operand may be a comparison again, which the printer parenthesizes.
+        return Binary(rng.choice(CMP_OPS), _gen_cmp(rng, depth - 1), _gen_cmp(rng, depth - 1))
     return gen_operand(rng, depth)
 
 
@@ -108,8 +104,10 @@ def _gen_atom(rng: random.Random) -> Expr:
     roll = rng.random()
     if roll < 0.25:
         return Lit(rng.randint(0, 999))
-    if roll < 0.4:
+    if roll < 0.35:
         return Lit(round(rng.uniform(0, 100), 2))
+    if roll < 0.4:  # 1e-30 to 1e+31, so that many a repr has an exponent: 1e-05, 1.5e+20
+        return Lit(round(rng.uniform(1, 10), rng.randint(0, 3)) * 10.0 ** rng.randint(-30, 30))
     if roll < 0.55:
         return Lit(rng.choice(["plain", 'with "quotes"', "tab\tand\nnewline", "back\\slash"]))
     if roll < 0.65:

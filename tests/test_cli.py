@@ -16,8 +16,7 @@ import pytest
 from ssm2sysml import Element, ElementKind, emit, parse_sysml
 from ssm2sysml.cli import main
 from ssm2sysml.exprs import Lit
-from ssm2sysml.lexing import MAX_NESTING
-from ssm2sysml.mapper import CONSTRAINT_DEPTH
+from ssm2sysml.lexing import CONSTRAINT_DEPTH, MAX_NESTING
 from ssm2sysml.sysml_ast import package
 
 from mutations import MUTATIONS
@@ -208,6 +207,26 @@ def test_number_past_the_float_range_is_a_parse_error(tmp_path, case):
     assert done.stderr.startswith(f"{name}:")
     assert done.stderr.endswith("number out of floating-point range\n")
     assert not (tmp_path / "out" / "Context.sysml").exists()
+
+
+# Constraints that `compile` once wrote in a form `check` could not read back.
+PRINTED_REQUIRES = {
+    "nested-comparison": "(license.availability > 0) == true",
+    "small-float": "license.availability > 0.00001",
+    "large-float": "license.availability > 100000000000000000000.0",
+}
+
+
+@pytest.mark.parametrize("case", PRINTED_REQUIRES)
+def test_compiled_constraint_checks(tmp_path, case):
+    require = PRINTED_REQUIRES[case]
+    (tmp_path / "f.ssm").write_text(Path(DATA_SSM).read_text().replace(
+        '"license.availability > 0"', f'"{require}"'))
+    compiled = _cli(tmp_path, "compile", "f.ssm", "-o", "out")
+    assert (compiled.returncode, compiled.stderr) == (0, "")
+    assert f"require constraint {{ {require} }}" in (tmp_path / "out" / "Context.sysml").read_text()
+    checked = _cli(tmp_path, "check", "out/Context.sysml")
+    assert (checked.returncode, checked.stderr) == (0, "")
 
 
 BAD_SYSML = b"package P { part \xff; }\n"

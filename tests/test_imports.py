@@ -1,7 +1,8 @@
 """Every imported name is used in the file that imports it.
 
-A name that only `__all__` lists counts as used (a re-export), and
-`from __future__` imports are exempt.
+A name that only a literal `__all__` lists counts as used (a re-export),
+and `from __future__` imports are exempt.  A computed `__all__`, as in a
+package whose exports load lazily, re-exports no imported name.
 """
 from __future__ import annotations
 
@@ -25,8 +26,10 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name for a in node.names if a.name != "*"]
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         ):
             used.update(ast.literal_eval(node.value))
     return [name for name in imported if name not in used]
@@ -36,6 +39,7 @@ def test_scan_finds_unused_names():
     source = "from __future__ import annotations\nimport os, re\nfrom a import b, c\nprint(re, c)\n"
     assert unused_imports(source) == ["os", "b"]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("from a import b\n__all__ = list(T)\n") == ["b"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -1,6 +1,8 @@
 """Canonical emitter / parser pair: round-trip fidelity and error paths."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from ssm2sysml import (
@@ -11,7 +13,7 @@ from ssm2sysml import (
     emit,
     parse_sysml,
 )
-from ssm2sysml.exprs import Lit, expr_to_text, parse_expr_text
+from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
 from ssm2sysml.sysml_ast import RelKind, iter_walk, package
 
 from model_gen import gen_expr, gen_model, kitchen_sink
@@ -178,6 +180,15 @@ def test_expression_parenthesization():
     assert expr_to_text(parse_expr_text("not (a or b)")) == "not (a or b)"
 
 
+@pytest.mark.parametrize(
+    "text", ["(a > 0) == true", "a == (b != c)", "(a < b) == (c <= d)", "(not a) != b"]
+)
+def test_nested_comparison_is_parenthesized(text):
+    expr = parse_expr_text(text)
+    assert expr_to_text(expr) == text
+    assert parse_expr_text(expr_to_text(expr)) == expr
+
+
 def test_string_literal_escapes():
     expr = parse_expr_text('"tab\\tquote\\"end"')
     assert parse_expr_text(expr_to_text(expr)) == expr
@@ -190,20 +201,32 @@ def test_enum_literal_expression():
 
 @pytest.mark.parametrize(
     "value",
-    [float("inf"), float("-inf"), float("nan"), 10**4300, -(10**5000)],
-    ids=["inf", "-inf", "nan", "4301-digits", "-5001-digits"],
+    [float("inf"), float("-inf"), float("nan"), 10**4300, -(10**5000), -1, -0.0, -0.5,
+     -(10**4300 - 1)],
+    ids=["inf", "-inf", "nan", "4301-digits", "-5001-digits", "-1", "-0.0", "-0.5",
+         "-4300-digits"],
 )
 def test_literal_without_a_notation_cannot_be_built(value):
     with pytest.raises(ValueError):
         Lit(value)
 
 
+def test_negative_literal_names_the_form_the_parsers_build():
+    with pytest.raises(ValueError, match=re.escape("Unary('-', Lit(1))")):
+        Lit(-1)
+    assert parse_expr_text("-1") == Unary("-", Lit(1))
+
+
 @pytest.mark.parametrize(
     "value, text",
-    [(10**4300 - 1, "9" * 4300), (-(10**4300 - 1), "-" + "9" * 4300), (2**1920, str(2**1920)),
-     (1.7976931348623157e308, "1.7976931348623157e+308"), (0.5, "0.5")],
-    ids=["4300-digits", "-4300-digits", "1921-bits", "max-float", "fraction"],
+    [(10**4300 - 1, "9" * 4300), (2**1920, str(2**1920)),
+     (1.7976931348623157e308, "17976931348623157" + "0" * 292 + ".0"), (0.5, "0.5"),
+     (1e-05, "0.00001"), (1e20, "100000000000000000000.0"), (5e-324, "0." + "0" * 323 + "5"),
+     (0.0, "0.0")],
+    ids=["4300-digits", "1921-bits", "max-float", "fraction", "small-float", "large-float",
+         "min-float", "zero-float"],
 )
 def test_every_literal_that_can_be_built_emits(value, text):
     model = package("P", Element(ElementKind.ATTRIBUTE, name="a", value=Lit(value)))
     assert emit(model) == f"package P {{\n    attribute a = {text};\n}}\n"
+    assert parse_sysml(emit(model)) == model
