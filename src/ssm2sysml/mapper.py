@@ -8,12 +8,24 @@ the worldview becomes rationale metadata on a viewpoint; and each root
 definition's transformation becomes a use case hosted in an enclosing
 part together with its subject.
 
+Mapping runs in two passes.  `_plan` allocates every member name the
+mapper writes (in the package, each transformation part, each use case
+and each concern) in one table keyed by (namespace, role, source id);
+the builders take every name and every reference from that table.
+Collision rule: in each namespace the member written first keeps its
+name and later ones get `_2`, `_3`, ...  A nested namespace first
+reserves the names written inside it as references to elements outside
+it, so no member hides such a target; the package reserves `String`.
+A source id repeated within one root definition or conceptual model is
+mapped once, from its first declaration.
+
 `map_context` is pure: equal inputs produce structurally equal packages
 and byte-identical emitted text.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import heapq
+from dataclasses import dataclass
 
 from .diagnostics import COMPILE_CODES, Diagnostic
 from .errors import MappingError
@@ -40,22 +52,24 @@ from .sysml_ast import (
 )
 
 CATWOE_ENUM = "CatwoeElement"
+# Names of the scaffolding written around the source's own elements.  They
+# enter the name table like any member, at the place they are written.
+OWNER_CONCERN_DEF = "OwnerConcern"
+CUSTOMER_CONCERN_DEF = "CustomerConcern"
+VIEWPOINT_DEF = "ResourceAllocation"
+TRANSFORMATION_DEF = "CATWOE_Transformation"
+ENVIRONMENT_DEF = "EnvironmentalConstraints"
+TRANSFORMATION_PART = "transformationSystem"
+VIEWPOINT_NAME = "licenseManagement"
+VIEW_NAME = "License Allocation"
+OWNER_CONCERN_NAME = "resources"
+CUSTOMER_CONCERN_NAME = "customerConcern"
 
 
 @dataclass(frozen=True)
 class MappingOptions:
-    """Names used for the emitted scaffolding; defaults are overridable."""
+    """How to map; the scaffolding names are the module's constants."""
 
-    owner_concern_def: str = "OwnerConcern"
-    customer_concern_def: str = "CustomerConcern"
-    viewpoint_def: str = "ResourceAllocation"
-    transformation_def: str = "CATWOE_Transformation"
-    environment_def: str = "EnvironmentalConstraints"
-    transformation_part: str = "transformationSystem"
-    viewpoint_name: str = "licenseManagement"
-    view_name: str = "License Allocation"
-    owner_concern_name: str = "resources"
-    customer_concern_name: str = "customerConcern"
     # Root-definition ids whose subject is modelled with a state machine
     # (idle -> transformed on a completion signal) in addition to the
     # plain in/out reference usages.
@@ -116,36 +130,29 @@ def rationale_tag(text: str) -> Element:
     )
 
 
+def _typed_attribute(name: str, type_name: str) -> Element:
+    return Element(ElementKind.ATTRIBUTE, name=name, relationships=_typing(type_name))
+
+
 def scaffolding() -> tuple[Element, ...]:
     """The metadata vocabulary every mapped package starts with."""
-    enum = Element(
-        ElementKind.ENUM_DEF,
-        name=CATWOE_ENUM,
-        enum_literals=tuple(role.label for role in CatwoeRole),
-    )
-    catwoe = Element(
-        ElementKind.METADATA_DEF,
-        name=CATWOE_DEF,
-        children=(
-            Element(
-                ElementKind.ATTRIBUTE,
-                name="element",
-                relationships=(Relationship(RelKind.TYPING, (CATWOE_ENUM,)),),
-            ),
+    return (
+        Element(
+            ElementKind.ENUM_DEF,
+            name=CATWOE_ENUM,
+            enum_literals=tuple(role.label for role in CatwoeRole),
+        ),
+        Element(
+            ElementKind.METADATA_DEF,
+            name=CATWOE_DEF,
+            children=(_typed_attribute("element", CATWOE_ENUM),),
+        ),
+        Element(
+            ElementKind.METADATA_DEF,
+            name=RATIONALE_DEF,
+            children=(_typed_attribute("text", "String"),),
         ),
     )
-    rationale = Element(
-        ElementKind.METADATA_DEF,
-        name=RATIONALE_DEF,
-        children=(
-            Element(
-                ElementKind.ATTRIBUTE,
-                name="text",
-                relationships=(Relationship(RelKind.TYPING, ("String",)),),
-            ),
-        ),
-    )
-    return (enum, catwoe, rationale)
 
 
 def _typing(target: str) -> tuple[Relationship, ...]:
@@ -156,82 +163,190 @@ def _subsets(*path: str) -> tuple[Relationship, ...]:
     return (Relationship(RelKind.SUBSETS, tuple(path)),)
 
 
-def _capitalize(name: str) -> str:
-    return name[0].upper() + name[1:] if name else name
+def _first_by_id(items):
+    """The first item of each id, in order."""
+    first: dict = {}
+    for item in items:
+        first.setdefault(item.id, item)
+    return list(first.values())
 
 
-def _lower(name: str) -> str:
-    return name[0].lower() + name[1:] if name else name
+def individual_roles(ctx: SsmContext) -> dict[str, set[CatwoeRole]]:
+    """Which roles each individual fills, across all root definitions."""
+    roles: dict[str, set[CatwoeRole]] = {}
+    for rd in ctx.root_definitions:
+        for refs, role in (
+            (rd.customers, CatwoeRole.CUSTOMER),
+            (rd.actors, CatwoeRole.ACTOR),
+            ((rd.owner,), CatwoeRole.OWNER),
+        ):
+            for ref in refs:
+                roles.setdefault(ref.id, set()).add(role)
+    return roles
 
 
-# ---------------------------------------------------------------------------
-# Per-root-definition naming
-
-@dataclass(frozen=True)
-class _RdNames:
-    use_case_def: str
-    use_case: str
-    subject: str
-    part: str
-    owner_concern: str
-    customer_concern: str
-    viewpoint: str
-    view: str
-    ec_names: dict[str, str]  # source id -> emitted name
-
-
-def _rd_names(
-    rd: RootDefinition, options: MappingOptions, suffixed: bool, claim
-) -> _RdNames:
-    suffix = f"_{rd.id}" if suffixed else ""
-    uc_def = _capitalize(rd.id)
-    if uc_def == rd.id:
-        uc_def = rd.id + "_Def"
-    view = options.view_name + (f" {rd.id}" if suffixed else "")
-    return _RdNames(
-        use_case_def=claim(uc_def),
-        use_case=rd.id,
-        subject=rd.transformation.subject_name,
-        part=claim(options.transformation_part + suffix),
-        owner_concern=claim(options.owner_concern_name + suffix),
-        customer_concern=claim(options.customer_concern_name + suffix),
-        viewpoint=claim(options.viewpoint_name + suffix),
-        view=claim(view),
-        ec_names={ec.id: claim(ec.id) for ec in rd.environmental_constraints},
+def _concerns(rd: RootDefinition):
+    """(label, role, definition, individuals) of the owner's and customers' concerns."""
+    return (
+        ("owner", CatwoeRole.OWNER, OWNER_CONCERN_DEF, (rd.owner,)),
+        ("customer", CatwoeRole.CUSTOMER, CUSTOMER_CONCERN_DEF, rd.customers),
     )
 
 
+def _type_kinds(ctx: SsmContext) -> dict[str, ElementKind]:
+    """Each subject/input/output type's definition kind, taken from its first use."""
+    kinds: dict[str, ElementKind] = {}
+    for rd in ctx.root_definitions:
+        tr = rd.transformation
+        kinds.setdefault(tr.subject_type, ElementKind.PART_DEF)
+        for _, type_name in tr.inputs + tr.outputs:
+            kinds.setdefault(type_name, ElementKind.ITEM_DEF)
+    return kinds
+
+
+def _def_order(kinds: dict[str, ElementKind]) -> list[str]:
+    """Type definitions as written: part defs, then item defs, in first-use order."""
+    return sorted(kinds, key=lambda type_name: kinds[type_name] is ElementKind.ITEM_DEF)
+
+
 # ---------------------------------------------------------------------------
-# Sub-mappings (called by map_context)
+# Planning pass: the name table
+
+_PACKAGE: tuple = ()  # a namespace key; the others are (kind, root-definition id)
+_TAGS = (CATWOE_ENUM, CATWOE_DEF)  # what a CATWOE tag refers to
 
 
-def map_individuals(ctx: SsmContext) -> tuple[Element, ...]:
-    """Individual definitions (one per distinct type) plus occurrences."""
-    roles = individual_roles(ctx)
-    defs: list[Element] = []
-    seen_types: set[str] = set()
+class _Names:
+    """Every member name, by (namespace, role, source id); unique per namespace."""
+
+    def __init__(self) -> None:
+        self.planned: dict[tuple, str] = {}
+        self.taken: dict[tuple, set[str]] = {}
+
+    def reserve(self, names, ns: tuple = _PACKAGE) -> None:
+        self.taken.setdefault(ns, set()).update(names)
+
+    def add(self, role: str, key, wanted: str, ns: tuple = _PACKAGE) -> str:
+        """Allocate `wanted` in `ns` under the collision rule, once per key."""
+        slot = (ns, role, key)
+        if slot not in self.planned:
+            taken = self.taken.setdefault(ns, set())
+            name, n = wanted, 1
+            while name in taken:
+                n += 1
+                name = f"{wanted}_{n}"
+            taken.add(name)
+            self.planned[slot] = name
+        return self.planned[slot]
+
+    def __call__(self, role: str, key, ns: tuple = _PACKAGE) -> str:
+        return self.planned[ns, role, key]
+
+
+def _plan(
+    ctx: SsmContext,
+    kinds: dict[str, ElementKind],
+    models: dict[str, ConceptualModel],
+    orders: dict[str, list[str]],
+) -> _Names:
+    """Allocate every member name, namespace by namespace, in emitted order."""
+    names = _Names()
+    add = names.add
+    rds = ctx.root_definitions
+    names.reserve(("String",))
+    for scaffold in (CATWOE_ENUM, CATWOE_DEF, RATIONALE_DEF):
+        add("scaffold", scaffold, scaffold)
     for ind in ctx.individuals:
-        if ind.definition_type in seen_types:
-            continue
-        seen_types.add(ind.definition_type)
-        defs.append(
-            Element(
-                ElementKind.INDIVIDUAL_DEF,
-                name=ind.definition_type,
-                children=(
-                    Element(
-                        ElementKind.ATTRIBUTE,
-                        name="name",
-                        relationships=_typing("String"),
-                    ),
-                ),
-            )
+        add("individual def", ind.definition_type, ind.definition_type)
+    for ind in ctx.individuals:
+        add("individual", ind.id, ind.id)
+    for type_name in _def_order(kinds):
+        add("type", type_name, type_name)
+    for type_name in kinds:
+        add("usage", type_name, type_name[:1].lower() + type_name[1:])
+    if not rds:
+        return names
+    suffix = {rd.id: f"_{rd.id}" if len(rds) > 1 else "" for rd in rds}
+    add("scaffold", ENVIRONMENT_DEF, ENVIRONMENT_DEF)
+    for rd in rds:
+        for ec in rd.environmental_constraints:
+            add("ec", (rd.id, ec.id), ec.id)
+    add("scaffold", OWNER_CONCERN_DEF, OWNER_CONCERN_DEF)
+    add("scaffold", CUSTOMER_CONCERN_DEF, CUSTOMER_CONCERN_DEF)
+    for rd in rds:
+        add("owner concern", rd.id, OWNER_CONCERN_NAME + suffix[rd.id])
+        add("customer concern", rd.id, CUSTOMER_CONCERN_NAME + suffix[rd.id])
+    add("scaffold", VIEWPOINT_DEF, VIEWPOINT_DEF)
+    for rd in rds:
+        add("viewpoint", rd.id, VIEWPOINT_NAME + suffix[rd.id])
+    for rd in rds:
+        add("view", rd.id, VIEW_NAME + (f" {rd.id}" if suffix[rd.id] else ""))
+    add("scaffold", TRANSFORMATION_DEF, TRANSFORMATION_DEF)
+    for rd in rds:
+        uc_def = rd.id[:1].upper() + rd.id[1:]
+        add("use case def", rd.id, uc_def if uc_def != rd.id else rd.id + "_Def")
+    for rd in rds:
+        add("part", rd.id, TRANSFORMATION_PART + suffix[rd.id])
+
+    # Inside each root definition's part, use case and concerns.
+    for rd in rds:
+        tr, cm = rd.transformation, models.get(rd.id)
+        part, ucase = ("part", rd.id), ("use case", rd.id)
+        # What the use case's members refer to outside it: their typings,
+        # subsettings, performers, objective targets and tags.
+        from_ucase = {
+            *_TAGS,
+            names("scaffold", ENVIRONMENT_DEF),
+            names("customer concern", rd.id),
+            *(names("individual", ref.id) for ref in rd.actors + (rd.owner,)),
+            *(names("ec", (rd.id, ec.id)) for ec in rd.environmental_constraints),
+            *(names("type", type_name) for _, type_name in tr.inputs + tr.outputs),
+        }
+        typings = {names("type", tr.subject_type), names("use case def", rd.id)}
+        names.reserve(from_ucase | typings, part)
+        subject = add("subject", rd.id, tr.subject_name, part)
+        add("use case", rd.id, rd.id, part)
+
+        names.reserve(from_ucase | {subject}, ucase)
+        for ref in rd.actors:
+            add("actor", ref.id, f"actor_{ref.id}", ucase)
+        for item, _ in tr.inputs + tr.outputs:
+            add("item", item, item, ucase)
+        for act_id in orders.get(rd.id, ()):
+            add("action", act_id, act_id, ucase)
+        for mon in cm.monitors if cm is not None else ():
+            add("monitor", mon.id, mon.id, ucase)
+
+        for label, _, _, refs in _concerns(rd):
+            concern = (f"{label} concern", rd.id)
+            people = {names("individual", ref.id) for ref in refs}
+            names.reserve({*_TAGS, names("part", rd.id), *people}, concern)
+            for ref in refs:
+                add("stakeholder", ref.id, f"{label}_{ref.id}", concern)
+    return names
+
+
+# ---------------------------------------------------------------------------
+# Building pass: every name and reference is a table lookup
+
+
+def _individuals(ctx: SsmContext, name: _Names) -> tuple[list[Element], list[Element]]:
+    """Individual definitions (one per distinct type), and occurrences."""
+    types = (ind.definition_type for ind in ctx.individuals)
+    defs = dict.fromkeys(name("individual def", type_name) for type_name in types)
+    roles = individual_roles(ctx)
+    return [
+        Element(
+            ElementKind.INDIVIDUAL_DEF,
+            name=def_name,
+            children=(_typed_attribute("name", "String"),),
         )
-    occurrences = [
+        for def_name in defs
+    ], [
         Element(
             ElementKind.INDIVIDUAL,
-            name=ind.id,
-            relationships=_typing(ind.definition_type),
+            name=name("individual", ind.id),
+            relationships=_typing(name("individual def", ind.definition_type)),
             children=tuple(catwoe_tag(role) for role in sorted(roles.get(ind.id, ())))
             + (
                 Element(
@@ -244,41 +359,57 @@ def map_individuals(ctx: SsmContext) -> tuple[Element, ...]:
         )
         for ind in ctx.individuals
     ]
-    return tuple(defs) + tuple(occurrences)
 
 
-def individual_roles(ctx: SsmContext) -> dict[str, set[CatwoeRole]]:
-    """Which roles each individual fills, across all root definitions."""
-    roles: dict[str, set[CatwoeRole]] = {}
-
-    def add(ind_id: str, role: CatwoeRole) -> None:
-        roles.setdefault(ind_id, set()).add(role)
-
+def _types(
+    ctx: SsmContext,
+    kinds: dict[str, ElementKind],
+    name: _Names,
+    options: MappingOptions,
+) -> list[Element]:
+    """Subject/input/output type definitions, then one usage of each."""
+    transitions: dict[str, list[str]] = {}
     for rd in ctx.root_definitions:
-        for ref in rd.customers:
-            add(ref.id, CatwoeRole.CUSTOMER)
-        for ref in rd.actors:
-            add(ref.id, CatwoeRole.ACTOR)
-        add(rd.owner.id, CatwoeRole.OWNER)
-    return roles
-
-
-def environment_def(options: MappingOptions = DEFAULT_OPTIONS) -> Element:
-    return Element(
-        ElementKind.REQUIREMENT_DEF,
-        name=options.environment_def,
-        children=(catwoe_tag(CatwoeRole.ENVIRONMENT),),
-    )
+        if rd.id in options.state_pattern:
+            transitions.setdefault(rd.transformation.subject_type, []).append(rd.id)
+    defs = []
+    for type_name in _def_order(kinds):
+        machine: tuple[Element, ...] = ()
+        if kinds[type_name] is ElementKind.PART_DEF and type_name in transitions:
+            # The subject's definition gets an idle->transformed state machine.
+            machine = (
+                Element(ElementKind.STATE, name="idle"),
+                Element(ElementKind.STATE, name="transformed"),
+            ) + tuple(
+                Element(
+                    ElementKind.TRANSITION,
+                    name=f"t_{rd_id}",
+                    source="idle",
+                    target="transformed",
+                    trigger=(f"{rd_id}Done",),
+                )
+                for rd_id in transitions[type_name]
+            )
+        defs.append(
+            Element(kinds[type_name], name=name("type", type_name), children=machine)
+        )
+    usages = [
+        Element(
+            ElementKind.PART if kind is ElementKind.PART_DEF else ElementKind.ITEM,
+            name=name("usage", type_name),
+            relationships=_typing(name("type", type_name)),
+        )
+        for type_name, kind in kinds.items()
+    ]
+    return defs + usages
 
 
 # `lexing.CONSTRAINT_DEPTH` counts the package and requirement-def bodies
 # written around each constraint.
-def _ec_requirement(
-    ec: EnvConstraint, names: dict[str, str], options: MappingOptions
-) -> Element:
-    rels = list(_typing(options.environment_def))
+def _ec_requirement(rd: RootDefinition, ec: EnvConstraint, name: _Names) -> Element:
+    rels = _typing(name("scaffold", ENVIRONMENT_DEF))
     if ec.refines is not None:
-        rels.append(Relationship(RelKind.REFINES, (names[ec.refines.id],)))
+        rels += (Relationship(RelKind.REFINES, (name("ec", (rd.id, ec.refines.id)),)),)
     constraint = Element(
         ElementKind.CONSTRAINT,
         constraint_kind=ec.kind,
@@ -286,257 +417,176 @@ def _ec_requirement(
     )
     return Element(
         ElementKind.REQUIREMENT_DEF,
-        name=names[ec.id],
-        relationships=tuple(rels),
+        name=name("ec", (rd.id, ec.id)),
+        relationships=rels,
         doc=ec.text,
         children=(constraint,),
         span=ec.span,
     )
 
 
-def map_actor_pattern(rd: RootDefinition, ucase: Element) -> Element:
-    """Add one actor usage per CATWOE Actor, subsetting its occurrence."""
-    actors = tuple(
-        Element(
-            ElementKind.ACTOR,
-            name=f"actor_{ref.id}",
-            relationships=_subsets(ref.id),
-            children=(catwoe_tag(CatwoeRole.ACTOR),),
-            span=ref.span,
-        )
-        for ref in rd.actors
-    )
-    return ucase.with_children(ucase.children + actors)
-
-
-def _concern_subject(names: _RdNames) -> Element:
-    return Element(
+def _concern(
+    rd: RootDefinition, group, name: _Names
+) -> tuple[Element, tuple[Element, ...]]:
+    """The concern of one of `_concerns(rd)`, and its stakeholders."""
+    label, role, def_name, refs = group
+    concern, part = (f"{label} concern", rd.id), ("part", rd.id)
+    subject = Element(
         ElementKind.SUBJECT,
-        relationships=_subsets(names.part, names.subject),
+        relationships=_subsets(name("part", rd.id), name("subject", rd.id, part)),
     )
-
-
-def _owner_concern(
-    rd: RootDefinition, names: _RdNames, options: MappingOptions
-) -> Element:
-    stakeholder = Element(
-        ElementKind.STAKEHOLDER,
-        name=f"owner_{rd.owner.id}",
-        relationships=_subsets(rd.owner.id),
-        children=(catwoe_tag(CatwoeRole.OWNER),),
-        span=rd.owner.span,
-    )
-    return Element(
-        ElementKind.CONCERN,
-        name=names.owner_concern,
-        relationships=_typing(options.owner_concern_def),
-        children=(_concern_subject(names), stakeholder),
-        span=rd.span,
-    )
-
-
-def _viewpoint(rd: RootDefinition, names: _RdNames, options: MappingOptions) -> Element:
-    return Element(
-        ElementKind.VIEWPOINT,
-        name=names.viewpoint,
-        relationships=_typing(options.viewpoint_def)
-        + (Relationship(RelKind.FRAMES, (names.owner_concern,)),),
-        children=(rationale_tag(rd.worldview),),
-        span=rd.span,
-    )
-
-
-def _view(names: _RdNames, options: MappingOptions) -> Element:
-    # Body deliberately left blank: the view exists to satisfy the
-    # viewpoint; exposure and filtering are the modeller's choice.
-    return Element(
-        ElementKind.VIEW,
-        name=names.view,
-        relationships=(Relationship(RelKind.SATISFIES, (names.viewpoint,)),),
-    )
-
-
-def _customer_concern(
-    rd: RootDefinition, names: _RdNames, options: MappingOptions
-) -> Element:
     stakeholders = tuple(
         Element(
             ElementKind.STAKEHOLDER,
-            name=f"customer_{ref.id}",
-            relationships=_subsets(ref.id),
-            children=(catwoe_tag(CatwoeRole.CUSTOMER),),
+            name=name("stakeholder", ref.id, concern),
+            relationships=_subsets(name("individual", ref.id)),
+            children=(catwoe_tag(role),),
             span=ref.span,
         )
-        for ref in rd.customers
+        for ref in _first_by_id(refs)
     )
-    return Element(
+    element = Element(
         ElementKind.CONCERN,
-        name=names.customer_concern,
-        relationships=_typing(options.customer_concern_def),
-        children=(_concern_subject(names),) + stakeholders,
+        name=name(concern[0], rd.id),
+        relationships=_typing(name("scaffold", def_name)),
+        children=(subject,) + stakeholders,
         span=rd.span,
     )
+    return element, stakeholders
 
 
-def _use_case_def(names: _RdNames, options: MappingOptions) -> Element:
-    return Element(
-        ElementKind.USE_CASE_DEF,
-        name=names.use_case_def,
-        relationships=_typing(options.transformation_def),
-        children=(catwoe_tag(CatwoeRole.TRANSFORMATION),),
+def _use_case(
+    rd: RootDefinition,
+    cm: ConceptualModel | None,
+    order: list[str],
+    name: _Names,
+    options: MappingOptions,
+) -> tuple[Element, tuple[Element, ...], tuple[Element, ...]]:
+    """The transformation as a use case, its actors and its actions.
+
+    Actions follow the topological flow order, then monitors."""
+    tr = rd.transformation
+    ucase = ("use case", rd.id)
+    actors = tuple(
+        Element(
+            ElementKind.ACTOR,
+            name=name("actor", ref.id, ucase),
+            relationships=_subsets(name("individual", ref.id)),
+            children=(catwoe_tag(CatwoeRole.ACTOR),),
+            span=ref.span,
+        )
+        for ref in _first_by_id(rd.actors)
     )
-
-
-def _objective(rd: RootDefinition, names: _RdNames, options: MappingOptions) -> Element:
     # The objective references every environmental constraint: the root
     # definition does not single one out, so none is dropped.  With no
     # constraints at all it references the shared environment definition
     # so the use case still points at a requirement.
-    refs = tuple(
-        Relationship(RelKind.REFERENCES, (names.ec_names[ec.id],))
-        for ec in rd.environmental_constraints
-    ) or (Relationship(RelKind.REFERENCES, (options.environment_def,)),)
-    rels = refs + (Relationship(RelKind.FRAMES, (names.customer_concern,)),)
-    return Element(ElementKind.REQUIREMENT, is_objective=True, relationships=rels)
-
-
-def _use_case_usage(
-    rd: RootDefinition,
-    cm: ConceptualModel | None,
-    names: _RdNames,
-    options: MappingOptions,
-) -> Element:
-    tr = rd.transformation
-    subject = Element(ElementKind.SUBJECT, relationships=_subsets(names.subject))
+    ecs = _first_by_id(rd.environmental_constraints)
+    targets = [name("ec", (rd.id, ec.id)) for ec in ecs]
+    objective = Element(
+        ElementKind.REQUIREMENT,
+        is_objective=True,
+        relationships=tuple(
+            Relationship(RelKind.REFERENCES, (target,))
+            for target in targets or [name("scaffold", ENVIRONMENT_DEF)]
+        )
+        + (Relationship(RelKind.FRAMES, (name("customer concern", rd.id),)),),
+    )
     ios = tuple(
         Element(
             ElementKind.ITEM,
-            name=name,
+            name=name("item", item, ucase),
             direction=direction,
             is_ref=True,
-            relationships=_typing(type_name),
+            relationships=_typing(name("type", type_name)),
         )
         for direction, params in (("in", tr.inputs), ("out", tr.outputs))
-        for name, type_name in params
+        for item, type_name in params
     )
-    ucase = Element(
+    subject = Element(
+        ElementKind.SUBJECT,
+        relationships=_subsets(name("subject", rd.id, ("part", rd.id))),
+    )
+    actions: tuple[Element, ...] = ()
+    successions: tuple[Succession, ...] = ()
+    if cm is not None:
+        by_id = {act.id: act for act in _first_by_id(cm.activities)}
+        action = {act_id: name("action", act_id, ucase) for act_id in order}
+        actor_ids = {ref.id for ref in rd.actors}
+        actions = tuple(
+            Element(
+                ElementKind.ACTION,
+                name=action[act_id],
+                is_perform=True,
+                # The local actor usage, or the occurrence: the owner may
+                # perform activities without being an actor.
+                performer=(
+                    name("actor", performer, ucase)
+                    if performer in actor_ids
+                    else name("individual", performer),
+                ),
+                doc=by_id[act_id].label,
+                span=by_id[act_id].span,
+            )
+            for act_id in order
+            for performer in (by_id[act_id].performed_by.id,)
+        ) + tuple(
+            Element(
+                ElementKind.ACTION,
+                name=name("monitor", mon.id, ucase),
+                doc=mon.label,
+                children=(
+                    Element(
+                        ElementKind.COMMENT,
+                        doc="monitors: "
+                        + ", ".join(action[ref.id] for ref in mon.controls),
+                    ),
+                ),
+                span=mon.span,
+            )
+            for mon in _first_by_id(cm.monitors)
+        )
+        position = {act_id: i for i, act_id in enumerate(order)}
+        successions = tuple(
+            Succession(action[flow.source.id], action[flow.target.id])
+            for flow in sorted(
+                cm.flows, key=lambda f: (position[f.source.id], position[f.target.id])
+            )
+        )
+    if rd.id in options.state_pattern:
+        send = Element(ElementKind.ACTION, flavor="send", signal=(f"{rd.id}Done",))
+        actions += (send,)
+    element = Element(
         ElementKind.USE_CASE,
-        name=names.use_case,
-        relationships=_typing(names.use_case_def),
-        children=(subject,),
+        name=name("use case", rd.id, ("part", rd.id)),
+        relationships=_typing(name("use case def", rd.id)),
+        children=(subject,) + actors + (objective,) + ios + actions,
+        successions=successions,
         doc=tr.statement,
         span=rd.span,
     )
-    ucase = map_actor_pattern(rd, ucase)
-    ucase = ucase.with_children(ucase.children + (_objective(rd, names, options),) + ios)
-    if cm is not None:
-        ucase = map_conceptual_model(cm, ucase)
-    if rd.id in options.state_pattern:
-        send = Element(
-            ElementKind.ACTION, flavor="send", signal=(f"{rd.id}Done",)
-        )
-        ucase = ucase.with_children(ucase.children + (send,))
-    return ucase
-
-
-def _transformation_part(
-    rd: RootDefinition,
-    cm: ConceptualModel | None,
-    names: _RdNames,
-    options: MappingOptions,
-) -> Element:
-    subject_part = Element(
-        ElementKind.PART,
-        name=names.subject,
-        relationships=_typing(rd.transformation.subject_type),
-        span=rd.transformation.span,
-    )
-    return Element(
-        ElementKind.PART,
-        name=names.part,
-        children=(subject_part, _use_case_usage(rd, cm, names, options)),
-        span=rd.span,
-    )
-
-
-def map_conceptual_model(cm: ConceptualModel, ucase: Element) -> Element:
-    """Actions in topological flow order, one succession per flow edge."""
-    order = _topological_order(cm)
-    position = {act_id: i for i, act_id in enumerate(order)}
-    by_id = {act.id: act for act in cm.activities}
-    actions = tuple(
-        Element(
-            ElementKind.ACTION,
-            name=act_id,
-            is_perform=True,
-            performer=(_performer_name(cm, by_id[act_id].performed_by.id, ucase),),
-            doc=by_id[act_id].label,
-            span=by_id[act_id].span,
-        )
-        for act_id in order
-    )
-    monitors = tuple(
-        Element(
-            ElementKind.ACTION,
-            name=mon.id,
-            doc=mon.label,
-            children=(
-                Element(
-                    ElementKind.COMMENT,
-                    doc="monitors: " + ", ".join(c.id for c in mon.controls),
-                ),
-            ),
-            span=mon.span,
-        )
-        for mon in cm.monitors
-    )
-    successions = tuple(
-        Succession(flow.source.id, flow.target.id)
-        for flow in sorted(
-            cm.flows,
-            key=lambda f: (position.get(f.source.id, 0), position.get(f.target.id, 0)),
-        )
-    )
-    return replace(
-        ucase,
-        children=ucase.children + actions + monitors,
-        successions=ucase.successions + successions,
-    )
-
-
-def _performer_name(cm: ConceptualModel, performer_id: str, ucase: Element) -> str:
-    # Prefer the local actor usage; fall back to the occurrence (the
-    # owner may perform activities without being an actor).
-    for child in ucase.children:
-        if child.kind is ElementKind.ACTOR and child.name == f"actor_{performer_id}":
-            return child.name
-    return performer_id
+    return element, actors, actions
 
 
 def _topological_order(cm: ConceptualModel) -> list[str]:
-    """Kahn's algorithm; ties broken by activity declaration order."""
-    order_index = {act.id: i for i, act in enumerate(cm.activities)}
-    indegree = {act.id: 0 for act in cm.activities}
-    out_edges: dict[str, list[str]] = {act.id: [] for act in cm.activities}
+    """Kahn's algorithm, always taking the earliest-declared ready activity."""
+    position = {act.id: i for i, act in enumerate(_first_by_id(cm.activities))}
+    indegree = dict.fromkeys(position, 0)
+    out_edges: dict[str, list[str]] = {act_id: [] for act_id in position}
     for flow in cm.flows:
         if flow.source.id in out_edges and flow.target.id in indegree:
             out_edges[flow.source.id].append(flow.target.id)
             indegree[flow.target.id] += 1
-    ready = sorted(
-        (a for a, d in indegree.items() if d == 0), key=order_index.__getitem__
-    )
+    # Already in declaration order, so already a heap.
+    ready = [(i, act_id) for act_id, i in position.items() if indegree[act_id] == 0]
     order: list[str] = []
     while ready:
-        current = ready.pop(0)
+        _, current = heapq.heappop(ready)
         order.append(current)
-        changed = False
         for nxt in out_edges[current]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                ready.append(nxt)
-                changed = True
-        if changed:
-            ready.sort(key=order_index.__getitem__)
+                heapq.heappush(ready, (position[nxt], nxt))
     # Validated contexts are acyclic, so every activity is ordered.
     return order
 
@@ -559,27 +609,17 @@ def map_context(
             "context fails validation: " + "; ".join(d.message for d in problems)
         )
 
+    kinds = _type_kinds(ctx)
+    models = {cm.root_definition_id.id: cm for cm in ctx.conceptual_models}
+    orders = {rd_id: _topological_order(cm) for rd_id, cm in models.items()}
+    name = _plan(ctx, kinds, models, orders)
+
     warnings: list[Diagnostic] = []
-    claimed: dict[str, int] = {}
-
-    def claim(name: str) -> str:
-        # Package-level member names must be unique; disambiguate with a
-        # numeric suffix on collision (deterministic).
-        if name not in claimed:
-            claimed[name] = 1
-            return name
-        claimed[name] += 1
-        return claim(f"{name}_{claimed[name]}")
-
-    # Individuals -----------------------------------------------------------
-    individuals = map_individuals(ctx)
-    for el in individuals:
-        claim(el.name or "")
     seen_display: dict[str, str] = {}
     for ind in ctx.individuals:
         if ind.display_name in seen_display:
             warnings.append(COMPILE_CODES["W-DUPNAME"].at(
-                f"{ctx.name}.{ind.id}",
+                f"{ctx.name}.{name('individual', ind.id)}",
                 ind.span,
                 f"individuals {seen_display[ind.display_name]!r} and "
                 f"{ind.id!r} share the display name {ind.display_name!r}",
@@ -587,177 +627,128 @@ def map_context(
         else:
             seen_display[ind.display_name] = ind.id
 
-    # Subject / input / output types ---------------------------------------
-    part_defs: list[Element] = []
-    item_defs: list[Element] = []
-    type_usages: list[Element] = []
-    typed: set[str] = set()
-
-    def declare_type(type_name: str, kind_def: ElementKind, kind_use: ElementKind) -> None:
-        if type_name in typed:
-            return
-        typed.add(type_name)
-        bucket = part_defs if kind_def is ElementKind.PART_DEF else item_defs
-        bucket.append(Element(kind_def, name=claim(type_name)))
-        type_usages.append(
-            Element(kind_use, name=claim(_lower(type_name)), relationships=_typing(type_name))
-        )
-
-    for rd in ctx.root_definitions:
-        tr = rd.transformation
-        declare_type(tr.subject_type, ElementKind.PART_DEF, ElementKind.PART)
-        for _, type_name in tr.inputs + tr.outputs:
-            declare_type(type_name, ElementKind.ITEM_DEF, ElementKind.ITEM)
-
-    # Per-root-definition structure ------------------------------------------
-    suffixed = len(ctx.root_definitions) > 1
-    models = {cm.root_definition_id.id: cm for cm in ctx.conceptual_models}
-    has_rd = bool(ctx.root_definitions)
-
-    env_def = environment_def(options) if has_rd else None
-    if env_def is not None:
-        claim(env_def.name or "")
+    individual_defs, individuals = _individuals(ctx, name)
+    # (element, role) in report order; paths come from the finished model.
+    provenance: list[tuple[Element, CatwoeRole | None]] = [
+        (occurrence, None) for occurrence in individuals
+    ]
+    members = [*scaffolding(), *individual_defs, *individuals]
+    members += _types(ctx, kinds, name, options)
+    rds = ctx.root_definitions
+    env_def = Element(
+        ElementKind.REQUIREMENT_DEF,
+        name=name("scaffold", ENVIRONMENT_DEF),
+        children=(catwoe_tag(CatwoeRole.ENVIRONMENT),),
+    ) if rds else None
     ec_defs: list[Element] = []
     concerns: list[Element] = []
     viewpoints: list[Element] = []
     views: list[Element] = []
     uc_defs: list[Element] = []
     parts: list[Element] = []
-    prov_roles: list[tuple[Element, CatwoeRole | None]] = []
-    state_defs: set[str] = set()
 
-    for rd in ctx.root_definitions:
-        names = _rd_names(rd, options, suffixed, claim)
+    for rd in rds:
         cm = models.get(rd.id)
+        part_name = name("part", rd.id)
         if cm is None:
             warnings.append(COMPILE_CODES["W-NOCM"].at(
-                f"{ctx.name}.{names.part}.{names.use_case}",
+                f"{ctx.name}.{part_name}.{name('use case', rd.id, ('part', rd.id))}",
                 rd.span,
                 f"root definition {rd.id!r} has no conceptual model; "
                 "the use case body holds no activities",
             ))
-        for ec in rd.environmental_constraints:
+        for ec in _first_by_id(rd.environmental_constraints):
             if ec.expr is None:
                 warnings.append(COMPILE_CODES["W-NOEXPR"].at(
-                    f"{ctx.name}.{names.ec_names[ec.id]}",
+                    f"{ctx.name}.{name('ec', (rd.id, ec.id))}",
                     ec.span,
                     f"environmental constraint {ec.id!r} has no expression; "
                     "a placeholder `true` constraint was emitted",
                 ))
-            ec_defs.append(_ec_requirement(ec, names.ec_names, options))
-            prov_roles.append((ec_defs[-1], CatwoeRole.ENVIRONMENT))
-        if not rd.environmental_constraints and env_def is not None:
-            prov_roles.append((env_def, CatwoeRole.ENVIRONMENT))
+            ec_defs.append(_ec_requirement(rd, ec, name))
+            provenance.append((ec_defs[-1], CatwoeRole.ENVIRONMENT))
+        if not rd.environmental_constraints:
+            provenance.append((env_def, CatwoeRole.ENVIRONMENT))
 
-        owner_concern = _owner_concern(rd, names, options)
-        customer_concern = _customer_concern(rd, names, options)
-        concerns.extend((owner_concern, customer_concern))
-        viewpoint = _viewpoint(rd, names, options)
-        viewpoints.append(viewpoint)
-        views.append(_view(names, options))
-        uc_def = _use_case_def(names, options)
-        uc_defs.append(uc_def)
-        part = _transformation_part(rd, cm, names, options)
-        parts.append(part)
-
-        if rd.id in options.state_pattern:
-            _add_state_pattern(rd, part_defs, state_defs)
-
-        ucase = part.children[1]
-        prov_roles.append((ucase, CatwoeRole.TRANSFORMATION))
-        prov_roles.append((viewpoint, CatwoeRole.WORLDVIEW))
-        prov_roles.append((part.children[0], None))
-        for child in owner_concern.children:
-            if child.kind is ElementKind.STAKEHOLDER:
-                prov_roles.append((child, CatwoeRole.OWNER))
-        for child in customer_concern.children:
-            if child.kind is ElementKind.STAKEHOLDER:
-                prov_roles.append((child, CatwoeRole.CUSTOMER))
-        for child in ucase.children:
-            if child.kind is ElementKind.ACTOR:
-                prov_roles.append((child, CatwoeRole.ACTOR))
-            elif child.kind is ElementKind.ACTION:
-                prov_roles.append((child, None))
-
-    # Assemble ---------------------------------------------------------------
-    members: list[Element] = list(scaffolding())
-    members.extend(individuals)
-    members.extend(part_defs)
-    members.extend(item_defs)
-    members.extend(type_usages)
-    if env_def is not None:
-        members.append(env_def)
-    members.extend(ec_defs)
-    if has_rd:
-        members.append(Element(ElementKind.CONCERN_DEF, name=claim(options.owner_concern_def)))
-        members.append(
-            Element(ElementKind.CONCERN_DEF, name=claim(options.customer_concern_def))
+        stakeholders = []
+        for group in _concerns(rd):
+            concern, members_of = _concern(rd, group, name)
+            concerns.append(concern)
+            stakeholders += [(s, group[1]) for s in members_of]
+        viewpoint = Element(
+            ElementKind.VIEWPOINT,
+            name=name("viewpoint", rd.id),
+            relationships=_typing(name("scaffold", VIEWPOINT_DEF))
+            + (Relationship(RelKind.FRAMES, (name("owner concern", rd.id),)),),
+            children=(rationale_tag(rd.worldview),),
+            span=rd.span,
         )
-    members.extend(concerns)
-    if has_rd:
-        members.append(
+        viewpoints.append(viewpoint)
+        # Body deliberately left blank: the view exists to satisfy the
+        # viewpoint; exposure and filtering are the modeller's choice.
+        views.append(Element(
+            ElementKind.VIEW,
+            name=name("view", rd.id),
+            relationships=(Relationship(RelKind.SATISFIES, (viewpoint.name,)),),
+        ))
+        uc_defs.append(Element(
+            ElementKind.USE_CASE_DEF,
+            name=name("use case def", rd.id),
+            relationships=_typing(name("scaffold", TRANSFORMATION_DEF)),
+            children=(catwoe_tag(CatwoeRole.TRANSFORMATION),),
+        ))
+        subject = Element(
+            ElementKind.PART,
+            name=name("subject", rd.id, ("part", rd.id)),
+            relationships=_typing(name("type", rd.transformation.subject_type)),
+            span=rd.transformation.span,
+        )
+        ucase, actors, actions = _use_case(rd, cm, orders.get(rd.id, []), name, options)
+        parts.append(Element(
+            ElementKind.PART, name=part_name, children=(subject, ucase), span=rd.span
+        ))
+
+        provenance += [
+            (ucase, CatwoeRole.TRANSFORMATION),
+            (viewpoint, CatwoeRole.WORLDVIEW),
+            (subject, None),
+            *stakeholders,
+            *((actor, CatwoeRole.ACTOR) for actor in actors),
+            *((action, None) for action in actions),
+        ]
+
+    if rds:
+        members += [
+            env_def,
+            *ec_defs,
+            *(
+                Element(ElementKind.CONCERN_DEF, name=name("scaffold", def_name))
+                for def_name in (OWNER_CONCERN_DEF, CUSTOMER_CONCERN_DEF)
+            ),
+            *concerns,
             Element(
                 ElementKind.VIEWPOINT_DEF,
-                name=claim(options.viewpoint_def),
+                name=name("scaffold", VIEWPOINT_DEF),
                 children=(catwoe_tag(CatwoeRole.WORLDVIEW),),
-            )
-        )
-    members.extend(viewpoints)
-    members.extend(views)
-    if has_rd:
-        members.append(
-            Element(ElementKind.USE_CASE_DEF, name=claim(options.transformation_def))
-        )
-    members.extend(uc_defs)
-    members.extend(parts)
+            ),
+            *viewpoints,
+            *views,
+            Element(
+                ElementKind.USE_CASE_DEF, name=name("scaffold", TRANSFORMATION_DEF)
+            ),
+            *uc_defs,
+            *parts,
+        ]
 
     model = Element(
         ElementKind.PACKAGE, name=ctx.name, children=tuple(members), span=ctx.span
     )
-
     index = ModelIndex(model)
-    provenance: list[ProvenanceEntry] = []
-    for ind in ctx.individuals:
-        path = index.path(_find_occurrence(individuals, ind.id))
-        if path is not None:
-            provenance.append(ProvenanceEntry(qname_text(path), ind.span, None))
-    for element, role in prov_roles:
-        path = index.path(element)
-        if path is not None:
-            provenance.append(ProvenanceEntry(qname_text(path), element.span, role))
-
-    report = MappingReport(tuple(provenance), tuple(warnings))
+    report = MappingReport(
+        tuple(
+            ProvenanceEntry(qname_text(index.path(element)), element.span, role)
+            for element, role in provenance
+        ),
+        tuple(warnings),
+    )
     return model, report
-
-
-def _find_occurrence(individuals: tuple[Element, ...], ind_id: str) -> Element | None:
-    for el in individuals:
-        if el.kind is ElementKind.INDIVIDUAL and el.name == ind_id:
-            return el
-    return None
-
-
-def _add_state_pattern(
-    rd: RootDefinition, part_defs: list[Element], state_defs: set[str]
-) -> None:
-    """Give the subject's definition an idle->transformed state machine."""
-    type_name = rd.transformation.subject_type
-    for i, part_def in enumerate(part_defs):
-        if part_def.name != type_name:
-            continue
-        extra: tuple[Element, ...] = ()
-        if type_name not in state_defs:
-            state_defs.add(type_name)
-            extra = (
-                Element(ElementKind.STATE, name="idle"),
-                Element(ElementKind.STATE, name="transformed"),
-            )
-        transition = Element(
-            ElementKind.TRANSITION,
-            name=f"t_{rd.id}",
-            source="idle",
-            target="transformed",
-            trigger=(f"{rd.id}Done",),
-        )
-        part_defs[i] = part_def.with_children(part_def.children + extra + (transition,))
-        return

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -26,8 +27,11 @@ from ssm2sysml import (
     parse_sysml,
     resolve,
 )
+from ssm2sysml.cli import main
 from ssm2sysml.exprs import EnumLit, Lit
-from ssm2sysml.sysml_ast import RelKind, Succession
+from ssm2sysml.mapper import _topological_order
+from ssm2sysml.ssm_parser import parse_ssm
+from ssm2sysml.sysml_ast import ModelIndex, RelKind, Succession, qname
 
 from ssm_gen import gen_context
 
@@ -208,8 +212,9 @@ def test_golden_report(case_report):
     assert files == {"case_study.ssm"}
 
 
-def test_golden_model_is_self_conformant(case_model):
+def test_golden_model_is_self_conformant(case_model, case_report):
     assert check(case_model) == []
+    assert unplanned_references(case_model, case_report) == []
 
 
 def test_map_is_deterministic(case_ctx):
@@ -361,9 +366,224 @@ def test_invalid_context_raises_mapping_error():
         map_context(bad)
 
 
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", range(300))
 def test_generated_contexts_map_conformantly(seed):
     ctx = gen_context(seed)
-    model, _ = map_context(ctx)
+    model, report = map_context(ctx)
     assert [d for d in check(model) if d.is_error] == []
+    assert unplanned_references(model, report) == []
     assert parse_sysml(emit(model), "gen") == model
+
+
+# --- name table: every reference resolves to the element planned for it ------
+
+K = ElementKind
+USAGE_TYPES = {K.PART_DEF, K.ITEM_DEF}
+# The kinds each relationship of a mapped element may resolve to.  The
+# kind of a type's one definition comes from its first use, so a part
+# usage may be typed by an item definition (see ROADMAP item 3).
+PLANNED = {
+    (RelKind.TYPING, K.INDIVIDUAL): {K.INDIVIDUAL_DEF},
+    (RelKind.TYPING, K.PART): USAGE_TYPES,
+    (RelKind.TYPING, K.ITEM): USAGE_TYPES,
+    (RelKind.TYPING, K.CONCERN): {K.CONCERN_DEF},
+    (RelKind.TYPING, K.VIEWPOINT): {K.VIEWPOINT_DEF},
+    (RelKind.TYPING, K.USE_CASE): {K.USE_CASE_DEF},
+    (RelKind.TYPING, K.USE_CASE_DEF): {K.USE_CASE_DEF},
+    (RelKind.TYPING, K.REQUIREMENT_DEF): {K.REQUIREMENT_DEF},
+    (RelKind.TYPING, K.ATTRIBUTE): {K.ENUM_DEF},
+    (RelKind.SUBSETS, K.SUBJECT): {K.PART},
+    (RelKind.SUBSETS, K.ACTOR): {K.INDIVIDUAL},
+    (RelKind.SUBSETS, K.STAKEHOLDER): {K.INDIVIDUAL},
+    (RelKind.FRAMES, K.VIEWPOINT): {K.CONCERN},
+    (RelKind.FRAMES, K.REQUIREMENT): {K.CONCERN},
+    (RelKind.SATISFIES, K.VIEW): {K.VIEWPOINT},
+    (RelKind.REFERENCES, K.REQUIREMENT): {K.REQUIREMENT_DEF},
+    (RelKind.REFINES, K.REQUIREMENT_DEF): {K.REQUIREMENT_DEF},
+}
+
+
+def unplanned_references(model, report=None) -> list[str]:
+    """Duplicate member names, and references that resolve to no planned element."""
+    index = ModelIndex(model)
+    found = []
+    for element, path in index.pairs:
+        where = ".".join(path)
+        names = [c.name for c in element.children if c.name]
+        found += [f"{where}: two members named {n!r}" for n in set(names) if names.count(n) > 1]
+        for rel in element.relationships:
+            if rel.kind is RelKind.REDEFINES:
+                continue
+            target = index.resolve_target(element, rel.target)
+            if rel.target == ("String",):  # the library's
+                ok = target is None
+            else:
+                ok = target is not None and target.kind in PLANNED[rel.kind, element.kind]
+            if not ok:
+                found.append(f"{where}: {rel.kind.value} {rel.target} -> {target and target.kind}")
+        checks = [(element.performer, {K.ACTOR, K.INDIVIDUAL})] if element.performer else []
+        checks += [(element.meta_def, {K.METADATA_DEF})] if element.meta_def else []
+        for target_name, kinds in checks:
+            target = index.resolve_target(element, target_name)
+            if target is None or target.kind not in kinds:
+                found.append(f"{where}: {target_name} -> {target and target.kind}")
+        actions = {c.name for c in element.children if c.kind is K.ACTION}
+        for succession in element.successions:
+            if not {succession.source, succession.target} <= actions:
+                found.append(f"{where}: succession {succession} leaves its actions")
+    for entry in report.element_provenance if report else ():
+        if index.get(qname(entry.element_path)) is None:
+            found.append(f"provenance {entry.element_path} does not resolve")
+    return found
+
+
+def _individual_types(model) -> dict[str, str]:
+    defs = {c.name for c in model.children if c.kind is K.INDIVIDUAL_DEF}
+    return {
+        c.name: c.typing()[-1]
+        for c in model.children
+        if c.kind is K.INDIVIDUAL and c.typing()[-1] in defs
+    }
+
+
+# Collisions that once produced wrong or ambiguous references.
+COLLISIONS = {
+    "type-clash": """
+context C {
+    individual role : Role "R"
+    root-definition fix {
+        customer role
+        actor role
+        owner role
+        transformation "fix it" { subject s : Role }
+        worldview "w"
+    }
+}
+""",
+    "scaffolding": """
+context C {
+    individual a : CATWOE "A"
+    individual b : OwnerConcern "B"
+    individual c : EnvironmentalConstraints "C"
+    root-definition fix {
+        customer a
+        actor b
+        owner c
+        transformation "fix it" { subject s : Thing }
+        worldview "w"
+    }
+}
+""",
+    "individual-like-type": """
+context C {
+    individual Person : Person "P"
+    root-definition fix {
+        customer Person
+        actor Person
+        owner Person
+        transformation "fix it" { subject s : Thing }
+        worldview "w"
+    }
+}
+""",
+    "nested": """
+context C {
+    individual it : Employee "IT"
+    root-definition rd {
+        customer it
+        actor it
+        owner it
+        transformation "fix it" { subject rd : Thing input a1 : Tool }
+        worldview "w"
+    }
+    conceptual-model rd {
+        activity a1 "one" by it
+        activity actor_it "two" by it
+        flow a1 -> actor_it
+    }
+}
+""",
+}
+
+
+@pytest.fixture(params=sorted(COLLISIONS))
+def collision(request):
+    text = COLLISIONS[request.param]
+    model, report = map_context(parse_ssm(text, "c.ssm"))
+    return request.param, text, model, report
+
+
+def test_collisions_resolve_as_planned(collision):
+    case, _, model, report = collision
+    assert unplanned_references(model, report) == []
+    assert check(model) == []
+    typing = {
+        ".".join(path): el.typing()[-1] for el, path in ModelIndex(model).pairs if el.typing()
+    }
+    if case == "type-clash":
+        assert resolve(model, "C.Role").kind is K.INDIVIDUAL_DEF
+        assert resolve(model, "C.Role_2").kind is K.PART_DEF
+        assert typing["C.role"] == "Role"
+        assert typing["C.role_2"] == typing["C.transformationSystem.s"] == "Role_2"
+    elif case == "scaffolding":
+        assert resolve(model, "C.CATWOE").kind is K.METADATA_DEF
+        assert _individual_types(model) == {
+            "a": "CATWOE_2", "b": "OwnerConcern", "c": "EnvironmentalConstraints"
+        }
+        assert resolve(model, "C.OwnerConcern_2").kind is K.CONCERN_DEF
+        assert typing["C.resources"] == "OwnerConcern_2"
+        assert resolve(model, "C.EnvironmentalConstraints_2").kind is K.REQUIREMENT_DEF
+    elif case == "individual-like-type":
+        assert _individual_types(model) == {"Person_2": "Person"}
+        stakeholder = resolve(model, "C.resources.owner_Person")
+        assert stakeholder.rels(RelKind.SUBSETS)[0].target == ("Person_2",)
+    else:
+        part = resolve(model, "C.transformationSystem")
+        assert [c.name for c in part.children] == ["rd", "rd_2"]
+        uc = part.children[1]
+        assert [c.name for c in uc.children if c.name] == [
+            "actor_it", "a1", "a1_2", "actor_it_2"
+        ]
+        assert uc.successions == (Succession("a1_2", "actor_it_2"),)
+        assert {a.performer for a in uc.children if a.is_perform} == {("actor_it",)}
+
+
+def test_collisions_compile_and_check_clean(collision, tmp_path, capsys):
+    _, text, model, _ = collision
+    source = tmp_path / "c.ssm"
+    source.write_text(text)
+    assert main(["compile", str(source), "-o", str(tmp_path)]) == 0
+    written = tmp_path / "C.sysml"
+    assert main(["check", str(written)]) == 0
+    assert parse_sysml(written.read_text(), "C.sysml") == model
+
+
+def _reference_order(cm) -> list[str]:
+    """Repeatedly take the earliest-declared activity whose predecessors are all placed."""
+    order: list[str] = []
+    remaining = [act.id for act in cm.activities]
+    while remaining:
+        ready = [
+            act_id
+            for act_id in remaining
+            if all(f.source.id in order for f in cm.flows if f.target.id == act_id)
+        ]
+        order.append(ready[0])
+        remaining.remove(ready[0])
+    return order
+
+
+def test_topological_order_matches_brute_force():
+    rng = random.Random(3)
+    for _ in range(400):
+        count = rng.randint(1, 9)
+        hidden = rng.sample(range(count), count)  # a topological order of the DAG
+        flows = tuple(
+            Flow(IdRef(f"n{hidden[i]}"), IdRef(f"n{hidden[j]}"))
+            for i in range(count)
+            for j in range(i + 1, count)
+            for _ in range(rng.choice((0, 0, 1, 2)))  # repeated flows too
+        )
+        acts = tuple(Activity(f"n{k}", "", IdRef("solo")) for k in range(count))
+        cm = ConceptualModel(IdRef("fix"), acts, flows)
+        assert _topological_order(cm) == _reference_order(cm)
