@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic
-from .errors import ParseError, UnknownElement, UnknownRule
+from .errors import MappingError, ParseError, UnknownElement, UnknownRule
 
 OK, DIAGNOSTICS, FAULT = 0, 1, 2
 
@@ -45,7 +45,6 @@ def _load(parse, path: str):
 
 def cmd_compile(args: argparse.Namespace) -> int:
     from .mapper import MappingOptions, map_context
-    from .ssm_model import validate_context
     from .ssm_parser import parse_ssm
     from .sysml_text import emit
 
@@ -59,13 +58,13 @@ def cmd_compile(args: argparse.Namespace) -> int:
         if ctx is None:
             worst = max(worst, FAULT)
             continue
-        problems = validate_context(ctx)
-        if any(d.is_error for d in problems):
-            for diag in problems:
+        try:
+            model, report = map_context(ctx, options)
+        except MappingError as exc:
+            for diag in exc.diagnostics:
                 _print_diag(diag, color)
             worst = max(worst, DIAGNOSTICS)
             continue
-        model, report = map_context(ctx, options)
         for warning in report.warnings:
             _print_diag(warning, color)
         target = out_dir / f"{ctx.name}.sysml"

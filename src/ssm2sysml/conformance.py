@@ -8,6 +8,11 @@ case share a subject, the view/viewpoint/concern chain is complete,
 occurrences are typed, all six CATWOE roles are tagged, and the owner
 is represented as a stakeholder.
 
+Each rule checks one element at a time and names the element kinds it
+inspects.  `check` walks the model once, in document order, and runs on
+each element the rules for its kind; facts about the whole model that
+rules share are computed on first use.
+
 The engine recognizes the mapping's fixed metadata vocabulary
 (`CATWOE` with attribute `element`, `Rationale` with attribute `text`)
 by definition name.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .diagnostics import COMPILE_CODES, Code, Diagnostic, Severity
 from .errors import UnknownRule
@@ -32,12 +37,14 @@ from .sysml_ast import (
     qname_text,
 )
 
-Checker = Callable[["_Context"], list[Diagnostic]]
+K = ElementKind
 
 
 @dataclass(frozen=True)
 class Rule(Code):
-    checker: Checker
+    kinds: tuple[ElementKind, ...]
+    # checker(ctx, element, path) yields one message per finding on the element.
+    checker: Callable[[_Context, Element, QName], Iterator[str]]
 
 
 class _Context:
@@ -46,296 +53,172 @@ class _Context:
     def __init__(self, model: Element) -> None:
         self.index = ModelIndex(model)
 
-    def roles(self, element: Element, inherited: bool = True) -> set[str]:
-        """CATWOE role labels tagged on (or inherited by) the element."""
-        apps = (
-            self.index.effective_metadata(element)
-            if inherited
-            else element.metadata_applications()
-        )
-        labels: set[str] = set()
-        for app in apps:
-            if app.meta_def and app.meta_def[-1] == CATWOE_DEF:
-                for attr, value in app.bindings:
-                    if attr == "element" and isinstance(value, EnumLit):
-                        labels.add(value.literal)
-        return labels
+    def roles(self, element: Element) -> set[str]:
+        """CATWOE role labels tagged on or inherited by the element."""
+        return _roles(self.index.effective_metadata(element))
 
     @cached_property
-    def transformation_use_cases(self) -> list[tuple[Element, QName]]:
-        return [
-            (element, path)
-            for element, path in self.index.pairs
-            if element.kind is ElementKind.USE_CASE
-            and "Transformation" in self.roles(element)
-        ]
+    def transformations(self) -> dict[int, Element]:
+        """The Transformation-tagged use cases, by id."""
+        return {
+            id(element): element
+            for element, _ in self.index.pairs
+            if element.kind is K.USE_CASE and "Transformation" in self.roles(element)
+        }
+
+    @cached_property
+    def transformation_subjects(self) -> set[int]:
+        """Ids of the elements the transformation use cases' subjects subset."""
+        return {
+            id(target)
+            for ucase in self.transformations.values()
+            if (target := _subject_target(self.index, ucase)) is not None
+        }
+
+    @cached_property
+    def stakeholder_targets(self) -> set[int]:
+        """Ids of the elements some stakeholder usage subsets."""
+        return {
+            id(target)
+            for element, _ in self.index.pairs
+            if element.kind is K.STAKEHOLDER
+            for target in self.index.targets(element, RelKind.SUBSETS)
+        }
 
 
-_USE_CASES = frozenset({ElementKind.USE_CASE, ElementKind.USE_CASE_DEF})
+_USE_CASES = frozenset({K.USE_CASE, K.USE_CASE_DEF})
 _ALL_ROLES = ("Customer", "Actor", "Transformation", "Worldview", "Owner", "Environment")
 
 
-def _diag(rule_id: str, element: Element, path: QName, detail: str) -> Diagnostic:
-    return _RULE_BY_ID[rule_id].at(qname_text(path), element.span, detail)
+def _bound(apps: Iterable[Element], meta_def: str, attr: str) -> Iterator[object]:
+    """Values bound to `attr` by the applications of metadata definition `meta_def`."""
+    for app in apps:
+        if app.meta_def and app.meta_def[-1] == meta_def:
+            yield from (value for name, value in app.bindings if name == attr)
 
 
-def _check_act_1(ctx: _Context) -> list[Diagnostic]:
-    index = ctx.index
-    out = []
-    for element, path in index.pairs:
-        if element.kind is not ElementKind.ACTOR:
-            continue
-        ucase = index.enclosing(path, _USE_CASES)
-        if ucase is None:
-            continue
-        ok = any(
-            target.kind is ElementKind.INDIVIDUAL
-            and index.path(target)[: len(ucase)] != ucase
-            for target in index.targets(element, RelKind.SUBSETS)
-        )
-        if not ok:
-            out.append(
-                _diag(
-                    "R-ACT-1",
-                    element,
-                    path,
-                    "actor usage does not subset an individual occurrence "
-                    "declared outside the use case",
-                )
-            )
-    return out
-
-
-def _check_stk_1(ctx: _Context) -> list[Diagnostic]:
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is not ElementKind.STAKEHOLDER:
-            continue
-        ok = any(
-            target.kind is ElementKind.INDIVIDUAL
-            for target in ctx.index.targets(element, RelKind.SUBSETS)
-        )
-        if not ok:
-            out.append(
-                _diag(
-                    "R-STK-1",
-                    element,
-                    path,
-                    "stakeholder usage does not subset an individual occurrence",
-                )
-            )
-    return out
-
-
-def _check_env_1(ctx: _Context) -> list[Diagnostic]:
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind not in (ElementKind.REQUIREMENT, ElementKind.REQUIREMENT_DEF):
-            continue
-        typing = element.typing()
-        if typing is None:
-            continue
-        target = ctx.index.resolve_target(element, typing)
-        if target is None or "Environment" not in ctx.roles(target):
-            continue
-        has_constraint = any(
-            child.kind is ElementKind.CONSTRAINT for child in element.children
-        )
-        if not has_constraint:
-            out.append(
-                _diag(
-                    "R-ENV-1",
-                    element,
-                    path,
-                    "environmental-constraint requirement carries no "
-                    "require/assume/assert constraint",
-                )
-            )
-    return out
+def _roles(apps: Iterable[Element]) -> set[str]:
+    """CATWOE role labels tagged by the metadata applications."""
+    return {v.literal for v in _bound(apps, CATWOE_DEF, "element") if isinstance(v, EnumLit)}
 
 
 def _rationale_text(element: Element) -> str | None:
-    for app in element.metadata_applications():
-        if app.meta_def and app.meta_def[-1] == RATIONALE_DEF:
-            for attr, value in app.bindings:
-                if attr == "text" and isinstance(value, Lit) and isinstance(value.value, str):
-                    return value.value
-    return None
+    texts = _bound(element.metadata_applications(), RATIONALE_DEF, "text")
+    return next((v.value for v in texts if isinstance(v, Lit) and isinstance(v.value, str)), None)
 
 
-def _check_wvw_1(ctx: _Context) -> list[Diagnostic]:
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is not ElementKind.VIEWPOINT:
-            continue
-        if "Worldview" not in ctx.roles(element):
-            continue
-        text = _rationale_text(element)
-        if not text:
-            out.append(
-                _diag(
-                    "R-WVW-1",
-                    element,
-                    path,
-                    "worldview viewpoint lacks rationale metadata with nonempty text",
-                )
-            )
-    return out
+def _check_act_1(ctx: _Context, actor: Element, path: QName) -> Iterator[str]:
+    ucase = ctx.index.enclosing(path, _USE_CASES)
+    if ucase is not None and not any(
+        target.kind is K.INDIVIDUAL and ctx.index.path(target)[: len(ucase)] != ucase
+        for target in ctx.index.targets(actor, RelKind.SUBSETS)
+    ):
+        yield (
+            "actor usage does not subset an individual occurrence "
+            "declared outside the use case"
+        )
 
 
-def _check_trf_1(ctx: _Context) -> list[Diagnostic]:
-    out = []
-    for element, path in ctx.transformation_use_cases:
-        subjects = [c for c in element.children if c.kind is ElementKind.SUBJECT]
-        if len(subjects) != 1:
-            out.append(
-                _diag(
-                    "R-TRF-1",
-                    element,
-                    path,
-                    f"transformation use case declares {len(subjects)} subjects "
-                    "(exactly one required)",
-                )
-            )
-        objectives = [
-            c
-            for c in element.children
-            if c.kind is ElementKind.REQUIREMENT and c.is_objective
-        ]
-        if not any(obj.rels(RelKind.REFERENCES) for obj in objectives):
-            out.append(
-                _diag(
-                    "R-TRF-1",
-                    element,
-                    path,
-                    "transformation use case objective references no requirement",
-                )
-            )
-    return out
+def _check_stk_1(ctx: _Context, stakeholder: Element, path: QName) -> Iterator[str]:
+    if not any(
+        target.kind is K.INDIVIDUAL
+        for target in ctx.index.targets(stakeholder, RelKind.SUBSETS)
+    ):
+        yield "stakeholder usage does not subset an individual occurrence"
+
+
+def _check_env_1(ctx: _Context, requirement: Element, path: QName) -> Iterator[str]:
+    typing = requirement.typing()
+    if typing is None:
+        return
+    target = ctx.index.resolve_target(requirement, typing)
+    if (
+        target is not None
+        and "Environment" in ctx.roles(target)
+        and not any(child.kind is K.CONSTRAINT for child in requirement.children)
+    ):
+        yield (
+            "environmental-constraint requirement carries no "
+            "require/assume/assert constraint"
+        )
+
+
+def _check_wvw_1(ctx: _Context, viewpoint: Element, path: QName) -> Iterator[str]:
+    if "Worldview" in ctx.roles(viewpoint) and not _rationale_text(viewpoint):
+        yield "worldview viewpoint lacks rationale metadata with nonempty text"
+
+
+def _check_trf_1(ctx: _Context, ucase: Element, path: QName) -> Iterator[str]:
+    if id(ucase) not in ctx.transformations:
+        return
+    subjects = sum(child.kind is K.SUBJECT for child in ucase.children)
+    if subjects != 1:
+        yield (
+            f"transformation use case declares {subjects} subjects "
+            "(exactly one required)"
+        )
+    if not any(
+        child.kind is K.REQUIREMENT and child.is_objective and child.rels(RelKind.REFERENCES)
+        for child in ucase.children
+    ):
+        yield "transformation use case objective references no requirement"
 
 
 def _subject_target(index: ModelIndex, element: Element) -> Element | None:
     for child in element.children:
-        if child.kind is ElementKind.SUBJECT:
+        if child.kind is K.SUBJECT:
             targets = index.targets(child, RelKind.SUBSETS)
             if targets:
                 return targets[0]
     return None
 
 
-def _check_sub_1(ctx: _Context) -> list[Diagnostic]:
-    uc_subjects = {
-        id(target)
-        for ucase, _ in ctx.transformation_use_cases
-        if (target := _subject_target(ctx.index, ucase)) is not None
-    }
-    if not uc_subjects:
-        return []
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is not ElementKind.CONCERN:
-            continue
-        target = _subject_target(ctx.index, element)
-        if target is not None and id(target) not in uc_subjects:
-            out.append(
-                _diag(
-                    "R-SUB-1",
-                    element,
-                    path,
-                    "concern subject differs from every transformation "
-                    "use case subject",
-                )
-            )
-    return out
+def _check_sub_1(ctx: _Context, concern: Element, path: QName) -> Iterator[str]:
+    subjects = ctx.transformation_subjects
+    target = _subject_target(ctx.index, concern)
+    if subjects and target is not None and id(target) not in subjects:
+        yield "concern subject differs from every transformation use case subject"
 
 
-def _check_view_1(ctx: _Context) -> list[Diagnostic]:
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is ElementKind.VIEW and not element.rels(RelKind.SATISFIES):
-            out.append(_diag("R-VIEW-1", element, path, "view satisfies no viewpoint"))
-        elif element.kind is ElementKind.VIEWPOINT and not element.rels(RelKind.FRAMES):
-            out.append(_diag("R-VIEW-1", element, path, "viewpoint frames no concern"))
-    return out
+# The link each end of the view chain needs, and the finding without it.
+_VIEW_LINKS = {
+    K.VIEW: (RelKind.SATISFIES, "view satisfies no viewpoint"),
+    K.VIEWPOINT: (RelKind.FRAMES, "viewpoint frames no concern"),
+}
 
 
-def _check_ind_1(ctx: _Context) -> list[Diagnostic]:
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is not ElementKind.INDIVIDUAL:
-            continue
-        ok = any(
-            target.kind is ElementKind.INDIVIDUAL_DEF
-            for target in ctx.index.targets(element, RelKind.TYPING)
-        )
-        if not ok:
-            out.append(
-                _diag(
-                    "R-IND-1",
-                    element,
-                    path,
-                    "individual occurrence is not typed by an individual definition",
-                )
-            )
-    return out
+def _check_view_1(ctx: _Context, element: Element, path: QName) -> Iterator[str]:
+    link, message = _VIEW_LINKS[element.kind]
+    if not element.rels(link):
+        yield message
 
 
-def _check_cat_1(ctx: _Context) -> list[Diagnostic]:
-    transformations = {id(ucase) for ucase, _ in ctx.transformation_use_cases}
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is not ElementKind.PACKAGE:
-            continue
-        # The package itself and every element strictly below its path.
-        members = [
-            member
-            for member, inner in ctx.index.pairs
-            if member is element
-            or (len(inner) > len(path) and inner[: len(path)] == path)
-        ]
-        if not any(id(member) in transformations for member in members):
-            continue
-        present: set[str] = set()
-        for member in members:
-            present |= ctx.roles(member, inherited=False)
-        missing = [label for label in _ALL_ROLES if label not in present]
-        if missing:
-            out.append(
-                _diag(
-                    "R-CAT-1",
-                    element,
-                    path,
-                    "transformation package is missing CATWOE tags: "
-                    + ", ".join(missing),
-                )
-            )
-    return out
+def _check_ind_1(ctx: _Context, individual: Element, path: QName) -> Iterator[str]:
+    if not any(
+        target.kind is K.INDIVIDUAL_DEF
+        for target in ctx.index.targets(individual, RelKind.TYPING)
+    ):
+        yield "individual occurrence is not typed by an individual definition"
 
 
-def _check_own_1(ctx: _Context) -> list[Diagnostic]:
-    referenced = {
-        id(target)
-        for element, _ in ctx.index.pairs
-        if element.kind is ElementKind.STAKEHOLDER
-        for target in ctx.index.targets(element, RelKind.SUBSETS)
-    }
-    out = []
-    for element, path in ctx.index.pairs:
-        if element.kind is not ElementKind.INDIVIDUAL:
-            continue
-        if "Owner" not in ctx.roles(element):
-            continue
-        if id(element) not in referenced:
-            out.append(
-                _diag(
-                    "R-OWN-1",
-                    element,
-                    path,
-                    "owner-tagged individual is not referenced by any "
-                    "stakeholder usage",
-                )
-            )
-    return out
+def _check_cat_1(ctx: _Context, package: Element, path: QName) -> Iterator[str]:
+    # The package itself and every element strictly below its path.
+    members = [package] + [
+        member
+        for member, inner in ctx.index.pairs
+        if len(inner) > len(path) and inner[: len(path)] == path
+    ]
+    if not any(id(member) in ctx.transformations for member in members):
+        return
+    present = set().union(*(_roles(member.metadata_applications()) for member in members))
+    missing = [label for label in _ALL_ROLES if label not in present]
+    if missing:
+        yield "transformation package is missing CATWOE tags: " + ", ".join(missing)
+
+
+def _check_own_1(ctx: _Context, individual: Element, path: QName) -> Iterator[str]:
+    if "Owner" in ctx.roles(individual) and id(individual) not in ctx.stakeholder_targets:
+        yield "owner-tagged individual is not referenced by any stakeholder usage"
 
 
 RULES: tuple[Rule, ...] = (
@@ -346,7 +229,7 @@ RULES: tuple[Rule, ...] = (
         "occurrence declared outside the use case.",
         "A local actor must subset the high-level occurrence so one "
         "real-world entity keeps one identity across use cases.",
-        _check_act_1,
+        (K.ACTOR,), _check_act_1,
     ),
     Rule(
         "R-STK-1",
@@ -354,7 +237,7 @@ RULES: tuple[Rule, ...] = (
         "Every stakeholder usage subsets an individual occurrence.",
         "The same individual can appear as stakeholder and actor only "
         "when both usages subset one occurrence.",
-        _check_stk_1,
+        (K.STAKEHOLDER,), _check_stk_1,
     ),
     Rule(
         "R-ENV-1",
@@ -363,7 +246,7 @@ RULES: tuple[Rule, ...] = (
         "carries at least one require/assume/assert constraint.",
         "Environmental constraints must hold both the textual description "
         "and at least one formal constraint.",
-        _check_env_1,
+        (K.REQUIREMENT, K.REQUIREMENT_DEF), _check_env_1,
     ),
     Rule(
         "R-WVW-1",
@@ -372,7 +255,7 @@ RULES: tuple[Rule, ...] = (
         "with nonempty text.",
         "The worldview survives only as rationale attached to the "
         "viewpoint; without it the tag is empty ceremony.",
-        _check_wvw_1,
+        (K.VIEWPOINT,), _check_wvw_1,
     ),
     Rule(
         "R-TRF-1",
@@ -381,7 +264,7 @@ RULES: tuple[Rule, ...] = (
         "subject and its objective references at least one requirement.",
         "The use case carries the transformation's intent: one subject "
         "being transformed, with the objective referencing a requirement.",
-        _check_trf_1,
+        (K.USE_CASE,), _check_trf_1,
     ),
     Rule(
         "R-SUB-1",
@@ -389,7 +272,7 @@ RULES: tuple[Rule, ...] = (
         "The concern's subject equals the use case's subject.",
         "Concern and use case describe the same thing being transformed; "
         "the subjects must resolve to one element.",
-        _check_sub_1,
+        (K.CONCERN,), _check_sub_1,
     ),
     Rule(
         "R-VIEW-1",
@@ -398,7 +281,7 @@ RULES: tuple[Rule, ...] = (
         "frames at least one concern.",
         "Views satisfy one or more viewpoints, which in turn frame one "
         "or more concerns; a dangling link breaks traceability.",
-        _check_view_1,
+        tuple(_VIEW_LINKS), _check_view_1,
     ),
     Rule(
         "R-IND-1",
@@ -406,7 +289,7 @@ RULES: tuple[Rule, ...] = (
         "Every individual occurrence is typed by an individual definition.",
         "Occurrences denote specific real-world entities and take their "
         "structure from an individual definition.",
-        _check_ind_1,
+        (K.INDIVIDUAL,), _check_ind_1,
     ),
     Rule(
         "R-CAT-1",
@@ -415,7 +298,7 @@ RULES: tuple[Rule, ...] = (
         "as metadata tags.",
         "A complete root-definition model tags all six CATWOE elements; "
         "a missing tag usually means a role was never modelled.",
-        _check_cat_1,
+        (K.PACKAGE,), _check_cat_1,
     ),
     Rule(
         "R-OWN-1",
@@ -424,7 +307,7 @@ RULES: tuple[Rule, ...] = (
         "stakeholder usage.",
         "The owner is modelled as a stakeholder; an owner tag without a "
         "stakeholder usage leaves the role unrepresented.",
-        _check_own_1,
+        (K.INDIVIDUAL,), _check_own_1,
     ),
 )
 
@@ -434,15 +317,25 @@ _CODE_BY_ID: dict[str, Code] = {**COMPILE_CODES, **_RULE_BY_ID}
 
 
 def check(model: Element, rule_ids: Iterable[str] | None = None) -> list[Diagnostic]:
-    """Run the rule set over a package; order by (elementPath, ruleId)."""
+    """Run the rule set over a package; order by (elementPath, ruleId).
+
+    Each named rule runs once, whatever the number of times it is named.
+    """
     if rule_ids is None:
         rules = RULES
     else:
-        rules = tuple(_require_rule(rule_id) for rule_id in rule_ids)
-    ctx = _Context(model)
-    diagnostics: list[Diagnostic] = []
+        rules = tuple(_require_rule(rule_id) for rule_id in dict.fromkeys(rule_ids))
+    by_kind: dict[ElementKind, list[Rule]] = {}
     for rule in rules:
-        diagnostics.extend(rule.checker(ctx))
+        for kind in rule.kinds:
+            by_kind.setdefault(kind, []).append(rule)
+    ctx = _Context(model)
+    diagnostics = [
+        rule.at(qname_text(path), element.span, message)
+        for element, path in ctx.index.pairs
+        for rule in by_kind.get(element.kind, ())
+        for message in rule.checker(ctx, element, path)
+    ]
     diagnostics.sort(key=lambda d: (d.element_path, d.rule_id))
     return diagnostics
 

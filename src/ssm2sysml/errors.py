@@ -1,6 +1,7 @@
 """Errors raised by the text front ends."""
 from __future__ import annotations
 
+from .diagnostics import Diagnostic
 from .source import SourceSpan
 
 
@@ -71,6 +72,12 @@ class UnknownType(KeyError):
 
 class MappingError(ValueError):
     """Raised when a context that fails validation is handed to the mapper."""
+
+    def __init__(self, diagnostics: list[Diagnostic]) -> None:
+        super().__init__(
+            "context fails validation: " + "; ".join(d.message for d in diagnostics)
+        )
+        self.diagnostics = diagnostics
 
 
 class UnsupportedElement(ValueError):

@@ -603,11 +603,9 @@ def map_context(
     Raises MappingError when the context fails validation: mapping an
     inconsistent context would silently drop references.
     """
-    problems = [d for d in validate_context(ctx) if d.is_error]
-    if problems:
-        raise MappingError(
-            "context fails validation: " + "; ".join(d.message for d in problems)
-        )
+    problems = validate_context(ctx)
+    if any(d.is_error for d in problems):
+        raise MappingError(problems)
 
     kinds = _type_kinds(ctx)
     models = {cm.root_definition_id.id: cm for cm in ctx.conceptual_models}

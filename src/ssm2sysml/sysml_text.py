@@ -608,6 +608,8 @@ def _parse_declaration(ts: TokenStream) -> Element:
 
     special = _SPECIAL_DECLARATIONS.get(word)
     if special is not None:
+        if direction is not None or is_ref:
+            raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
         return special(ts)
     form = _DECLARATORS.get(word)
     if form is None:

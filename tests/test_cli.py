@@ -381,6 +381,30 @@ def test_check_rule_subset(tmp_path, compiled, capsys):
     assert main(["check", "--rules", "R-ACT-1,R-STK-1", str(mutant)]) == 0
 
 
+def test_check_runs_a_repeated_rule_once(tmp_path, compiled, capsys):
+    mutant = _write_mutant(tmp_path, compiled, "R-ACT-1")
+    assert main(["check", "--rules", "R-ACT-1", str(mutant)]) == 1
+    once = capsys.readouterr().out
+    assert once.count("[R-ACT-1]") == 1
+    assert main(["check", "--rules", "R-ACT-1,R-ACT-1", str(mutant)]) == 1
+    assert capsys.readouterr().out == once
+
+
+@pytest.mark.parametrize(
+    "body, column, message",
+    [
+        ("in ref require constraint { true }", 13, "'require' takes no 'in' prefix"),
+        ("ref assert constraint { true }", 13, "'assert' takes no 'ref' prefix"),
+        ("part p; out transition first a then b;", 21, "'transition' takes no 'out' prefix"),
+    ],
+)
+def test_check_refuses_a_prefix_the_declaration_drops(tmp_path, capsys, body, column, message):
+    target = tmp_path / "prefixed.sysml"
+    target.write_text(f"package P {{ {body} }}\n")
+    assert main(["check", str(target)]) == 2
+    assert capsys.readouterr().err == f"{target}:1:{column}: {message}\n"
+
+
 def test_check_unknown_rule_exits_2(compiled, capsys):
     assert main(["check", "--rules", "R-BOGUS-1", str(compiled)]) == 2
     assert "R-BOGUS-1" in capsys.readouterr().err

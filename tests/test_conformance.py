@@ -1,6 +1,9 @@
 """The ten-rule conformance suite: pass and fail fixtures per rule."""
 from __future__ import annotations
 
+import pathlib
+import re
+
 import pytest
 
 from ssm2sysml import RULES, UnknownRule, check, explain
@@ -29,6 +32,12 @@ def test_rule_catalog():
         expected = Severity.WARNING if rule.id in WARNING_RULES else Severity.ERROR
         assert rule.severity is expected
         assert rule.description and rule.rationale
+
+
+def test_readme_rule_table_lists_every_rule_in_order():
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| (R-[A-Z]+-\d+) \| (\w+) \|", text, re.MULTILINE)
+    assert rows == [(rule.id, str(rule.severity)) for rule in RULES]
 
 
 def test_mutation_catalog_covers_every_rule():

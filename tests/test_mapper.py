@@ -26,6 +26,7 @@ from ssm2sysml import (
     map_context,
     parse_sysml,
     resolve,
+    validate_context,
 )
 from ssm2sysml.cli import main
 from ssm2sysml.exprs import EnumLit, Lit
@@ -362,8 +363,9 @@ def test_state_pattern_option():
 
 def test_invalid_context_raises_mapping_error():
     bad = _base_ctx(individuals=())  # every role reference now dangles
-    with pytest.raises(MappingError):
+    with pytest.raises(MappingError) as raised:
         map_context(bad)
+    assert raised.value.diagnostics == validate_context(bad)
 
 
 @pytest.mark.parametrize("seed", range(300))

@@ -1,7 +1,7 @@
 """One shared ModelIndex per check, build_graph and render_view call.
 
 `recorded_outputs.json` holds the diagnostics (rule, severity, element,
-span), graph edges and view results that the implementation
+span, message), graph edges and view results that the implementation
 in which each of check, trace and view walked ancestors and resolved
 targets on its own computed for the models below.  The shared index
 must reproduce them exactly.  To record again after a deliberate change
@@ -22,6 +22,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from ssm2sysml import (
     Element,
     ElementKind,
+    UnknownElement,
     UnknownMetadataDef,
     UnknownType,
     build_graph,
@@ -47,7 +48,7 @@ from ssm2sysml.sysml_ast import (
 )
 
 from model_gen import gen_model
-from mutations import MUTATIONS
+from mutations import MUTATIONS, UC, drop_rels, edit
 from ssm_gen import gen_context
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -82,6 +83,18 @@ PROBE_VIEWS = (
 )
 
 
+def _without_subject_or_references(ucase: Element) -> Element:
+    unreferenced = drop_rels(RelKind.REFERENCES)
+    return replace(
+        ucase,
+        children=tuple(
+            unreferenced(c) if c.is_objective else c
+            for c in ucase.children
+            if c.kind is not ElementKind.SUBJECT
+        ),
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _models() -> dict[str, Element]:
     case = map_context(parse_ssm((DATA / "case_study.ssm").read_text(), "case_study.ssm"))[0]
@@ -92,6 +105,13 @@ def _models() -> dict[str, Element]:
     }
     for rule_id, _, mutate in MUTATIONS:
         models[f"case/{rule_id}"] = mutate(case)
+    # Two findings of one rule on one path, whose order must hold.
+    models["case/R-TRF-1x2"] = edit(case, UC, _without_subject_or_references)
+    models["case/view-tie"] = replace(
+        case,
+        children=case.children
+        + (Element(ElementKind.VIEW, name="tie"), Element(ElementKind.VIEWPOINT, name="tie")),
+    )
     for seed in GEN_SEEDS:
         models[f"gen{seed}"] = gen_model(seed)
     for seed in SSM_SEEDS:
@@ -108,13 +128,13 @@ def _snapshot(model: Element) -> dict:
             continue
         try:
             elements, report = render_view(model, path)
-        except (UnknownMetadataDef, UnknownType) as exc:
+        except (UnknownElement, UnknownMetadataDef, UnknownType) as exc:
             views[".".join(path)] = type(exc).__name__
         else:
             views[".".join(path)] = [sorted(elements), report]
     snapshot = {
         "diagnostics": [
-            [d.rule_id, str(d.severity), d.element_path, d.span and astuple(d.span)]
+            [d.rule_id, str(d.severity), d.element_path, d.span and astuple(d.span), d.message]
             for d in check(model)
         ],
         "edges": [[e.source, e.target, e.kind] for e in graph.edges],
