@@ -1,10 +1,11 @@
 """Command-line front end: compile, check, trace, view, explain.
 
 Exit codes: 0 = success/conformant, 1 = error-severity diagnostics,
-2 = parse/IO/usage error.  The code reflects the worst outcome across
-all inputs.  Outputs are deterministic: no timestamps, stable ordering.
-Each subcommand imports only the modules it runs, because every call is
-a fresh process that would otherwise load the whole package.
+2 = parse/IO/usage error or an internal error, which is reported in one
+line.  The code reflects the worst outcome across all inputs.  Outputs
+are deterministic: no timestamps, stable ordering.  Each subcommand
+imports only the modules it runs, because every call is a fresh process
+that would otherwise load the whole package.
 """
 from __future__ import annotations
 
@@ -232,7 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a defect, reported in one line rather than a traceback
+        print(
+            f"ssm2sysml: internal error in {args.command}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return FAULT
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ The subset is closed: exactly the constructs the mapping and the
 conformance rules need.  Every node is an `Element` tagged with an
 `ElementKind`; the fields a kind does not use stay at their defaults.
 Elements are immutable after construction and structurally comparable;
-source spans never participate in equality.
+source spans never participate in equality.  The one exception is a
+memo slot, `_members`, which the first lookup into an element's
+namespace fills from its `children`; like the span, it is excluded from
+equality, hashing and `repr`.
 """
 from __future__ import annotations
 
@@ -215,6 +218,10 @@ class Element:
     filter: FilterExpr | None = None  # view
     children: tuple["Element", ...] = ()
     span: SourceSpan | None = field(default=None, compare=False)
+    # Child segment -> the children with that segment; see `_members_of`.
+    _members: dict[str, list["Element"]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     # -- convenience -------------------------------------------------------
 
@@ -282,26 +289,22 @@ def _walk(top: Element, top_path: QName) -> Iterator[tuple[Element, QName]]:
 def resolve(model: Element, qualified_name: str | QName) -> Element:
     """Resolve a dot-qualified path from the model root.
 
-    The first segment may be the root package's own name.  Raises
-    UnknownElement (with the longest resolvable prefix) or
+    The first segment may be the root package's own name; an unnamed
+    element is addressed by its `kind@index` segment, as `walk` names it.
+    Raises UnknownElement (with the longest resolvable prefix) or
     AmbiguousName when duplicate siblings make the path ambiguous.
     """
     path = qname(qualified_name) if isinstance(qualified_name, str) else qualified_name
-    segments = list(path)
-    if segments and segments[0] == model.name:
-        segments = segments[1:]
-        prefix: list[str] = [model.name or ""]
-    else:
-        prefix = [model.name or ""]
+    segments = path[1:] if path[:1] == (model.name,) else path
     current = model
-    for segment in segments:
-        nxt = _lookup_child(current, segment)
-        if nxt is None:
-            raise UnknownElement(
-                qname_text(path), qname_text(tuple(p for p in prefix if p))
-            )
-        current = nxt
-        prefix.append(segment)
+    for depth, segment in enumerate(segments):
+        matches = _members_of(current).get(segment, ())
+        if len(matches) > 1:
+            raise AmbiguousName(segment)
+        if not matches:
+            prefix = (model.name or "",) + segments[:depth]
+            raise UnknownElement(qname_text(path), qname_text(tuple(p for p in prefix if p)))
+        current = matches[0]
     return current
 
 
@@ -313,11 +316,15 @@ def unknown_element(path: QName, known: Container[QName]) -> UnknownElement:
     return UnknownElement(qname_text(path), qname_text(prefix))
 
 
-def _lookup_child(element: Element, name: str) -> Element | None:
-    matches = [c for c in element.children if c.name == name]
-    if len(matches) > 1:
-        raise AmbiguousName(name)
-    return matches[0] if matches else None
+def _members_of(element: Element) -> dict[str, list[Element]]:
+    """Each child segment to its children in document order, kept in the element's memo slot."""
+    members = element._members
+    if members is None:
+        members = {}
+        for i, child in enumerate(element.children):
+            members.setdefault(_segment(child, i), []).append(child)
+        object.__setattr__(element, "_members", members)
+    return members
 
 
 class ModelIndex:
@@ -326,8 +333,10 @@ class ModelIndex:
     The only code that resolves relationship targets and walks
     ancestors; check, build_graph and render_view each build one per
     call and share it across their rules and queries.  A lookup opens
-    only the namespaces on its way to a name, mapping each member segment
-    to every child at that path.  Using `pairs` or `by_path` walks the
+    only the namespaces on its way to a name, through the member table
+    each element keeps (`_members_of`), so every later index of the same
+    model, such as the next `render_view`, reuses the tables instead of
+    scanning the members again.  Using `pairs` or `by_path` walks the
     whole model; lookups then probe `by_path`.
     """
 
@@ -336,7 +345,6 @@ class ModelIndex:
         self._pairs: list[tuple[Element, QName]] | None = None
         self._by_path: dict[QName, Element] | None = None
         self._paths: dict[int, QName] = {}
-        self._members: dict[QName, dict[str, list[Element]]] = {}
         self._meta_cache: dict[int, tuple[Element, ...]] = {}
 
     def _walk_all(self) -> list[tuple[Element, QName]]:
@@ -368,14 +376,8 @@ class ModelIndex:
     def _at(self, path: QName) -> list[Element]:
         """Every element at `path` in document order, opening the namespaces above it."""
         found = [self.model] if path[:1] == (_segment(self.model, 0),) else []
-        for depth in range(1, len(path)):
-            members = self._members.get(path[:depth])
-            if members is None:
-                members = self._members[path[:depth]] = {}
-                for owner in found:
-                    for i, child in enumerate(owner.children):
-                        members.setdefault(_segment(child, i), []).append(child)
-            found = members.get(path[depth], [])
+        for segment in path[1:]:
+            found = [child for owner in found for child in _members_of(owner).get(segment, ())]
         for element in found:
             self._paths[id(element)] = path
         return found

@@ -162,6 +162,10 @@ def _filter_text(expr: FilterExpr, parent_prec: int) -> str:
 
 def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
     pad = _INDENT * depth
+    if (el.direction or el.is_ref) and (el.kind not in _PREFIXABLE_KINDS or el.is_objective):
+        kind = "objective" if el.is_objective else el.kind.value
+        field_name = "direction" if el.direction else "is_ref"
+        raise UnsupportedElement(f"an element of kind {kind} takes no {field_name}")
 
     if el.kind is ElementKind.COMMENT:
         lines.append(f"{pad}comment {_block_text(el.doc or '', 'comment')}")
@@ -570,6 +574,13 @@ _PREFIXED: dict[str, tuple[ElementKind | None, ElementKind]] = {
     "viewpoint": (ElementKind.VIEWPOINT, ElementKind.VIEWPOINT_DEF),
 }
 
+# The usages that `in`, `out` and `ref` may precede.  No declaration with
+# further fields (`objective`, `perform action`, `decide`) takes them.
+_PREFIXABLE_KINDS = frozenset(map(ElementKind, (
+    "attribute individual part item requirement concern"
+    " stakeholder viewpoint view actor subject state"
+).split()))
+
 # keyword -> (usage kind, def kind, required second keyword, further fields)
 _DECLARATORS: dict[str, tuple[ElementKind | None, ElementKind | None, str | None, dict]] = {
     **{word: (usage, def_kind, None, {}) for word, (usage, def_kind) in _PREFIXED.items()},
@@ -625,6 +636,9 @@ def _parse_declaration(ts: TokenStream) -> Element:
         raise ts.error(("def",))
     else:
         kind = usage_kind
+    if (direction is not None or is_ref) and (kind not in _PREFIXABLE_KINDS or fields):
+        declared = " ".join(w for w in (word, second, "def" * (kind is def_kind)) if w)
+        raise ParseError(first.span, f"{declared!r} takes no {first.value!r} prefix")
 
     name = _parse_name(ts)
     relationships: list[Relationship] = []

@@ -99,6 +99,7 @@ def test_compile_parse_error_exits_2(tmp_path, capsys):
 
 def test_compile_missing_file_exits_2(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "nope.ssm"), "-o", str(tmp_path)]) == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_compile_invalid_context_exits_1(tmp_path, capsys):
@@ -150,6 +151,7 @@ def test_non_ascii_digit_is_a_parse_error(tmp_path, command, name, text):
     done = _cli(tmp_path, *args)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
+    assert "internal error" not in done.stderr
     assert "unexpected character '\u00b2'" in done.stderr
 
 
@@ -396,6 +398,16 @@ def test_check_runs_a_repeated_rule_once(tmp_path, compiled, capsys):
         ("in ref require constraint { true }", 13, "'require' takes no 'in' prefix"),
         ("ref assert constraint { true }", 13, "'assert' takes no 'ref' prefix"),
         ("part p; out transition first a then b;", 21, "'transition' takes no 'out' prefix"),
+        # Declarations that GRAMMAR.md lists without the prefixes.
+        ("in part def X;", 13, "'part def' takes no 'in' prefix"),
+        ("out use case u;", 13, "'use case' takes no 'out' prefix"),
+        ("ref objective o;", 13, "'objective' takes no 'ref' prefix"),
+        ("in decide d;", 13, "'decide' takes no 'in' prefix"),
+        ("part p; out package Q;", 21, "'package' takes no 'out' prefix"),
+        ("ref action a;", 13, "'action' takes no 'ref' prefix"),
+        ("in ref perform action a;", 13, "'perform action' takes no 'in' prefix"),
+        ("ref metadata def M;", 13, "'metadata def' takes no 'ref' prefix"),
+        ("out use case def U;", 13, "'use case def' takes no 'out' prefix"),
     ],
 )
 def test_check_refuses_a_prefix_the_declaration_drops(tmp_path, capsys, body, column, message):
@@ -403,6 +415,18 @@ def test_check_refuses_a_prefix_the_declaration_drops(tmp_path, capsys, body, co
     target.write_text(f"package P {{ {body} }}\n")
     assert main(["check", str(target)]) == 2
     assert capsys.readouterr().err == f"{target}:1:{column}: {message}\n"
+
+
+def test_an_unexpected_exception_is_one_line_and_exit_2(compiled, capsys, monkeypatch):
+    import ssm2sysml.conformance
+
+    def broken(model, rule_ids=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ssm2sysml.conformance, "check", broken)
+    capsys.readouterr()
+    assert main(["check", str(compiled)]) == 2
+    assert capsys.readouterr() == ("", "ssm2sysml: internal error in check: RuntimeError: boom\n")
 
 
 def test_check_unknown_rule_exits_2(compiled, capsys):
@@ -414,6 +438,7 @@ def test_check_unparsable_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "junk.sysml"
     bad.write_text("package {{{{")
     assert main(["check", str(bad)]) == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_check_color_codes_when_forced(tmp_path, compiled, capsys, monkeypatch):
@@ -491,6 +516,7 @@ def test_view_json(compiled, capsys):
 
 def test_view_unknown_exits_2(compiled, capsys):
     assert main(["view", str(compiled), "noSuchView"]) == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_explain_rule(capsys):

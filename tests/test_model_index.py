@@ -13,7 +13,7 @@ import functools
 import json
 import pathlib
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import pytest
 
@@ -27,6 +27,7 @@ from ssm2sysml import (
     UnknownType,
     build_graph,
     check,
+    emit,
     map_context,
     parse_ssm,
     parse_sysml,
@@ -95,6 +96,21 @@ def _without_subject_or_references(ucase: Element) -> Element:
     )
 
 
+def _views(model: Element) -> dict[str, object]:
+    """Each view's sorted paths and report, or the name of the error it raises."""
+    views: dict[str, object] = {}
+    for element, path in iter_walk(model):
+        if element.kind is not ElementKind.VIEW:
+            continue
+        try:
+            elements, report = render_view(model, path)
+        except (UnknownElement, UnknownMetadataDef, UnknownType) as exc:
+            views[".".join(path)] = type(exc).__name__
+        else:
+            views[".".join(path)] = [sorted(elements), report]
+    return views
+
+
 @functools.lru_cache(maxsize=None)
 def _models() -> dict[str, Element]:
     case = map_context(parse_ssm((DATA / "case_study.ssm").read_text(), "case_study.ssm"))[0]
@@ -122,23 +138,13 @@ def _models() -> dict[str, Element]:
 def _snapshot(model: Element) -> dict:
     graph = build_graph(model)
     assert graph.nodes == tuple(path for _, path in iter_walk(model))
-    views: dict[str, object] = {}
-    for element, path in iter_walk(model):
-        if element.kind is not ElementKind.VIEW:
-            continue
-        try:
-            elements, report = render_view(model, path)
-        except (UnknownElement, UnknownMetadataDef, UnknownType) as exc:
-            views[".".join(path)] = type(exc).__name__
-        else:
-            views[".".join(path)] = [sorted(elements), report]
     snapshot = {
         "diagnostics": [
             [d.rule_id, str(d.severity), d.element_path, d.span and astuple(d.span), d.message]
             for d in check(model)
         ],
         "edges": [[e.source, e.target, e.kind] for e in graph.edges],
-        "views": views,
+        "views": _views(model),
     }
     return json.loads(json.dumps(snapshot))
 
@@ -201,6 +207,71 @@ def test_render_view_indexes_only_the_namespaces_it_touches(monkeypatch):
         # The root, the view, its exposed subtrees and their typing targets:
         # 25 and 26 of the 74 elements.
         assert len(index._paths) < elements / 2
+
+
+# --- member tables memoized on the elements ------------------------------------
+
+
+def _fresh(name: str) -> Element:
+    """A freshly parsed copy of a model, whose elements hold no member table yet."""
+    return parse_sysml(emit(_models()[name]), name)
+
+
+def _tables(model: Element) -> dict[int, dict]:
+    return {id(e): e._members for e, _ in iter_walk(model) if e._members is not None}
+
+
+def test_a_repeated_view_builds_no_member_table():
+    model = _fresh("case+views")
+    assert _tables(model) == {}
+    render_view(model, "all")
+    assert list(_tables(model)) == [id(model)]  # the exposed subtrees are walked, not looked up
+    render_view(model, "tagged")  # its filter resolves typing targets in further namespaces
+    first = _tables(model)
+    render_view(model, "all")
+    render_view(model, "tagged")
+    again = _tables(model)
+    built = [key for key, table in again.items() if first.get(key) is not table]
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["case+views", *(f"gen{seed}" for seed in GEN_SEEDS)])
+def test_views_agree_across_calls_and_copies(name):
+    fresh = _fresh(name)
+    first = _views(fresh)
+    assert _views(fresh) == first
+    assert _views(_fresh(name)) == first
+    assert _views(_models()[name]) == first
+
+
+def test_a_member_added_after_the_tables_are_built_is_found():
+    model = _fresh("case")
+    render_view(model, "License Allocation")
+    assert model._members is not None
+    late = _view("late", ("resources",))
+    grown = model.with_children(model.children + (late,))
+    assert grown._members is None
+    paths, report = render_view(grown, "late")
+    assert report.startswith("view 'late': ") and ("Context", "resources") in paths
+    with pytest.raises(UnknownElement):
+        render_view(model, "late")
+
+
+def test_element_compares_every_field_but_the_span_and_the_member_table():
+    compared = [f.name for f in fields(Element) if f.compare]
+    assert compared[0] == "kind" and compared[-1] == "children" and len(compared) == 29
+    assert [f.name for f in fields(Element) if not f.compare] == ["span", "_members"]
+
+
+def test_filled_tables_leave_equality_hash_and_repr_alone():
+    model, twin = _fresh("case+views"), _fresh("case+views")
+    before = (hash(model), repr(model))
+    for view in ("all", "tagged", "actors", "people"):
+        render_view(model, view)
+    assert _tables(model) and not _tables(twin)
+    assert model == twin
+    assert hash(model) == hash(twin) == before[0]
+    assert repr(model) == repr(twin) == before[1]
 
 
 if __name__ == "__main__":

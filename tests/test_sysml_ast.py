@@ -11,6 +11,7 @@ from ssm2sysml import (
     ElementKind,
     UnknownElement,
     build_graph,
+    check,
     resolve,
     walk,
 )
@@ -30,6 +31,7 @@ from ssm2sysml.sysml_ast import (
 
 from conftest import count_elements
 from model_gen import gen_model
+from mutations import MUTATIONS
 
 
 def test_walk_matches_recursive_count(case_model, kettle_model):
@@ -107,6 +109,26 @@ def test_resolve_ambiguous_siblings():
     )
     with pytest.raises(AmbiguousName):
         resolve(model, "P.x")
+
+
+def test_resolve_reaches_an_unnamed_element_by_its_segment():
+    note = Element(ElementKind.COMMENT, doc="n")
+    holder = package("h", Element(ElementKind.PART, name="a"), note)
+    model = package("P", note, holder)
+    assert resolve(model, "P.comment@0") is note
+    assert resolve(model, "h.comment@1") is note
+    with pytest.raises(UnknownElement) as exc:
+        resolve(model, "P.h.comment@0")
+    assert exc.value.prefix == "P.h"
+
+
+def test_every_path_that_walk_and_check_print_resolves(case_model):
+    for element, path in iter_walk(case_model):
+        assert resolve(case_model, path) is element
+    for _, _, mutate in MUTATIONS:
+        model = mutate(case_model)
+        for diagnostic in check(model):
+            resolve(model, diagnostic.element_path)
 
 
 def test_resolve_relative_prefers_innermost():

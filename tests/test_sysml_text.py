@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from ssm2sysml import (
     ElementKind,
     ParseError,
     UnsupportedConstruct,
+    UnsupportedElement,
     emit,
     parse_sysml,
 )
@@ -230,3 +232,41 @@ def test_every_literal_that_can_be_built_emits(value, text):
     model = package("P", Element(ElementKind.ATTRIBUTE, name="a", value=Lit(value)))
     assert emit(model) == f"package P {{\n    attribute a = {text};\n}}\n"
     assert parse_sysml(emit(model)) == model
+
+
+PREFIXABLE = (
+    ElementKind.ATTRIBUTE, ElementKind.INDIVIDUAL, ElementKind.PART, ElementKind.ITEM,
+    ElementKind.REQUIREMENT, ElementKind.CONCERN, ElementKind.STAKEHOLDER,
+    ElementKind.VIEWPOINT, ElementKind.VIEW, ElementKind.ACTOR, ElementKind.SUBJECT,
+    ElementKind.STATE,
+)
+# Elements that `in`, `out` and `ref` may not precede, each emittable without them.
+UNPREFIXABLE = [
+    Element(ElementKind.PART_DEF, name="x"),
+    Element(ElementKind.PACKAGE, name="x"),
+    Element(ElementKind.USE_CASE, name="x"),
+    Element(ElementKind.REQUIREMENT, name="x", is_objective=True),
+    Element(ElementKind.ACTION, name="x"),
+    Element(ElementKind.ACTION, name="x", is_perform=True),
+    Element(ElementKind.ACTION, name="x", flavor="decide"),
+    Element(ElementKind.ACTION, flavor="send", signal=("s",)),
+    Element(ElementKind.TRANSITION, source="a", target="b"),
+    Element(ElementKind.CONSTRAINT, constraint_expr=Lit(True)),
+    Element(ElementKind.COMMENT, doc="c"),
+]
+
+
+@pytest.mark.parametrize("kind", PREFIXABLE, ids=lambda k: k.value)
+def test_a_prefixed_usage_round_trips(kind):
+    model = package("P", Element(kind, name="x", direction="out", is_ref=True))
+    assert parse_sysml(emit(model), "p") == model
+
+
+@pytest.mark.parametrize("field", ["direction", "is_ref"])
+@pytest.mark.parametrize("element", UNPREFIXABLE, ids=lambda e: e.kind.value)
+def test_emit_refuses_a_prefix_the_grammar_does_not_admit(element, field):
+    emit(package("P", element))
+    prefixed = package("P", replace(element, **{field: "in" if field == "direction" else True}))
+    kind = "objective" if element.is_objective else element.kind.value
+    with pytest.raises(UnsupportedElement, match=f"kind {kind} takes no {field}$"):
+        emit(prefixed)
