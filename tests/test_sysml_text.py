@@ -123,6 +123,34 @@ def test_unknown_word_is_plain_parse_error():
     assert not isinstance(exc.value, UnsupportedConstruct)
 
 
+SUPPORTED_DEF_KEYWORDS = (
+    "attribute", "concern", "enum", "individual", "item", "metadata", "part", "requirement",
+    "viewpoint",
+)
+
+
+@pytest.mark.parametrize(
+    "body,message,column,expected",
+    [
+        ("metadata M;", "expected def, found 'M'", 22, ("def",)),
+        ("enum E;", "expected def, found 'E'", 18, ("def",)),
+        ("use x;", "expected 'case', found 'x'", 17, ("'case'",)),
+        ("perform a;", "expected 'action', found 'a'", 21, ("'action'",)),
+        ("blorp x;", "expected an element declaration, found 'blorp'", 13,
+         ("an element declaration",)),
+        ("port x;", "construct 'port' is outside the supported subset", 13,
+         SUPPORTED_DEF_KEYWORDS),
+    ],
+    ids=["metadata", "enum", "use", "perform", "unknown", "unsupported"],
+)
+def test_declaration_errors_name_the_missing_keyword(body, message, column, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_sysml(f"package P {{ {body} }}", "d")
+    error = exc.value
+    assert (error.message, error.span.start_line, error.span.start_col) == (message, 1, column)
+    assert error.expected == expected
+
+
 def test_unterminated_body():
     with pytest.raises(ParseError):
         parse_sysml("package P { part x {", "u")
