@@ -8,11 +8,15 @@ source spans never participate in equality.  The one exception is a
 memo slot, `_members`, which the first lookup into an element's
 namespace fills from its `children`; like the span, it is excluded from
 equality, hashing and `repr`.
+
+`FORMS` is the one description of the declaration keywords; the parser
+and the emitter both read it.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from typing import Container, Iterator, Union
 
 from .errors import AmbiguousName, UnknownElement
@@ -67,20 +71,44 @@ class ElementKind(enum.Enum):
     METADATA = "metadata"  # metadata application, @Def { ... }
 
 
-DEF_KINDS = frozenset(
-    {
-        ElementKind.METADATA_DEF,
-        ElementKind.ENUM_DEF,
-        ElementKind.ATTRIBUTE_DEF,
-        ElementKind.INDIVIDUAL_DEF,
-        ElementKind.PART_DEF,
-        ElementKind.ITEM_DEF,
-        ElementKind.REQUIREMENT_DEF,
-        ElementKind.CONCERN_DEF,
-        ElementKind.VIEWPOINT_DEF,
-        ElementKind.USE_CASE_DEF,
-    }
+# Each declaration form: its keywords, its kind, the one field the keywords fix (or
+# None) and whether `in`, `out` and `ref` may precede it.  `emit` writes a kind's
+# first row that matches, so rows fixing a field come first, `decide` before `perform`.
+FORMS: tuple[tuple[str, ElementKind, tuple[str, object] | None, bool], ...] = (
+    ("package", ElementKind.PACKAGE, None, False),
+    ("metadata def", ElementKind.METADATA_DEF, None, False),
+    ("enum def", ElementKind.ENUM_DEF, None, False),
+    ("attribute def", ElementKind.ATTRIBUTE_DEF, None, False),
+    ("attribute", ElementKind.ATTRIBUTE, None, True),
+    ("individual def", ElementKind.INDIVIDUAL_DEF, None, False),
+    ("individual", ElementKind.INDIVIDUAL, None, True),
+    ("part def", ElementKind.PART_DEF, None, False),
+    ("part", ElementKind.PART, None, True),
+    ("item def", ElementKind.ITEM_DEF, None, False),
+    ("item", ElementKind.ITEM, None, True),
+    ("requirement def", ElementKind.REQUIREMENT_DEF, None, False),
+    ("objective", ElementKind.REQUIREMENT, ("is_objective", True), False),
+    ("requirement", ElementKind.REQUIREMENT, None, True),
+    ("concern def", ElementKind.CONCERN_DEF, None, False),
+    ("concern", ElementKind.CONCERN, None, True),
+    ("stakeholder", ElementKind.STAKEHOLDER, None, True),
+    ("viewpoint def", ElementKind.VIEWPOINT_DEF, None, False),
+    ("viewpoint", ElementKind.VIEWPOINT, None, True),
+    ("view", ElementKind.VIEW, None, True),
+    ("use case def", ElementKind.USE_CASE_DEF, None, False),
+    ("use case", ElementKind.USE_CASE, None, False),
+    ("actor", ElementKind.ACTOR, None, True),
+    ("subject", ElementKind.SUBJECT, None, True),
+    ("decide", ElementKind.ACTION, ("flavor", "decide"), False),
+    ("perform action", ElementKind.ACTION, ("is_perform", True), False),
+    ("action", ElementKind.ACTION, None, False),
+    ("state", ElementKind.STATE, None, True),
 )
+
+DEF_KINDS = frozenset(kind for phrase, kind, _, _ in FORMS if phrase.endswith(" def"))
+
+# The `kind@index` segment that paths give an unnamed element; no declared name may spell it.
+SEGMENT_FORM = re.compile("(?:" + "|".join(kind.value for kind in ElementKind) + ")@[0-9]+")
 
 
 class RelKind(enum.Enum):
@@ -236,9 +264,6 @@ class Element:
 
     def metadata_applications(self) -> tuple["Element", ...]:
         return tuple(c for c in self.children if c.kind == ElementKind.METADATA)
-
-    def with_children(self, children: tuple["Element", ...]) -> "Element":
-        return replace(self, children=children)
 
     @property
     def is_def(self) -> bool:

@@ -18,6 +18,7 @@ from .sysml_ast import (
     FKind,
     FMetaEq,
     FNot,
+    FORMS,
     FOr,
     FTyped,
     FilterExpr,
@@ -26,6 +27,7 @@ from .sysml_ast import (
     QName,
     RelKind,
     Relationship,
+    SEGMENT_FORM,
     Succession,
 )
 
@@ -44,33 +46,7 @@ UNSUPPORTED_KEYWORDS = frozenset(
     dependency event exhibit""".split()
 )
 
-_KEYWORD: dict[ElementKind, str] = {
-    ElementKind.PACKAGE: "package",
-    ElementKind.METADATA_DEF: "metadata def",
-    ElementKind.ENUM_DEF: "enum def",
-    ElementKind.ATTRIBUTE_DEF: "attribute def",
-    ElementKind.ATTRIBUTE: "attribute",
-    ElementKind.INDIVIDUAL_DEF: "individual def",
-    ElementKind.INDIVIDUAL: "individual",
-    ElementKind.PART_DEF: "part def",
-    ElementKind.PART: "part",
-    ElementKind.ITEM_DEF: "item def",
-    ElementKind.ITEM: "item",
-    ElementKind.REQUIREMENT_DEF: "requirement def",
-    ElementKind.REQUIREMENT: "requirement",
-    ElementKind.CONCERN_DEF: "concern def",
-    ElementKind.CONCERN: "concern",
-    ElementKind.STAKEHOLDER: "stakeholder",
-    ElementKind.VIEWPOINT_DEF: "viewpoint def",
-    ElementKind.VIEWPOINT: "viewpoint",
-    ElementKind.VIEW: "view",
-    ElementKind.USE_CASE_DEF: "use case def",
-    ElementKind.USE_CASE: "use case",
-    ElementKind.ACTOR: "actor",
-    ElementKind.SUBJECT: "subject",
-    ElementKind.ACTION: "action",
-    ElementKind.STATE: "state",
-}
+_KIND_FORMS = {kind: [form for form in FORMS if form[1] is kind] for kind in ElementKind}
 
 _STATEMENT_REL = {
     RelKind.REFINES: "refines",
@@ -162,10 +138,14 @@ def _filter_text(expr: FilterExpr, parent_prec: int) -> str:
 
 def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
     pad = _INDENT * depth
-    if (el.direction or el.is_ref) and (el.kind not in _PREFIXABLE_KINDS or el.is_objective):
-        kind = "objective" if el.is_objective else el.kind.value
-        field_name = "direction" if el.direction else "is_ref"
-        raise UnsupportedElement(f"an element of kind {kind} takes no {field_name}")
+    if el.name and "@" in el.name and SEGMENT_FORM.fullmatch(el.name):
+        raise UnsupportedElement(f"name {el.name!r} spells an unnamed element's segment")
+    if el.direction or el.is_ref:
+        form = _form(el)
+        if form is None or not form[3] or el.is_objective:  # an objective of any kind takes none
+            kind = "objective" if el.is_objective else el.kind.value
+            field_name = "direction" if el.direction else "is_ref"
+            raise UnsupportedElement(f"an element of kind {kind} takes no {field_name}")
 
     if el.kind is ElementKind.COMMENT:
         lines.append(f"{pad}comment {_block_text(el.doc or '', 'comment')}")
@@ -229,27 +209,25 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
         lines.append(f"{pad}{declarator};")
 
 
-def _declarator(el: Element) -> str:
-    if el.kind is ElementKind.ACTION:
-        if el.flavor == "decide":
-            keyword = "decide"
-        elif el.is_perform:
-            keyword = "perform action"
-        else:
-            keyword = "action"
-    elif el.kind is ElementKind.REQUIREMENT and el.is_objective:
-        keyword = "objective"
-    else:
-        keyword = _KEYWORD.get(el.kind)
-        if keyword is None:
-            raise UnsupportedElement(f"no emission rule for element kind {el.kind}")
+def _form(el: Element) -> tuple | None:
+    """The first of its kind's rows in FORMS whose fixed field the element has, if any."""
+    for form in _KIND_FORMS.get(el.kind, ()):
+        fixed = form[2]
+        if fixed is None or getattr(el, fixed[0]) == fixed[1]:
+            return form
+    return None
 
+
+def _declarator(el: Element) -> str:
+    form = _form(el)
+    if form is None:
+        raise UnsupportedElement(f"no emission rule for element kind {el.kind}")
     bits: list[str] = []
     if el.direction:
         bits.append(el.direction)
     if el.is_ref:
         bits.append("ref")
-    bits.append(keyword)
+    bits.append(form[0])
     if el.name:
         bits.append(name_text(el.name))
 
@@ -322,6 +300,14 @@ def _parse_name(ts: TokenStream) -> str | None:
         ts.take()
         return tok.value
     return None
+
+
+def _parse_element_name(ts: TokenStream) -> str | None:
+    """A declared element's name; a quoted one may not spell a `kind@index` segment."""
+    tok = ts.current
+    if tok.kind == QNAME and SEGMENT_FORM.fullmatch(tok.value):
+        raise ParseError(tok.span, f"name {tok.value!r} spells an unnamed element's segment")
+    return _parse_name(ts)
 
 
 def _parse_qname(ts: TokenStream, what: str = "qualified name") -> QName:
@@ -561,41 +547,15 @@ _STATEMENTS = {
 _STATE_STATEMENTS = {**_STATEMENTS, "entry": _entry_statement, "do": _do_statement}
 
 
-_PREFIXED: dict[str, tuple[ElementKind | None, ElementKind]] = {
-    # keyword -> (usage kind, or None where only `def` may follow; def kind)
-    "metadata": (None, ElementKind.METADATA_DEF),
-    "enum": (None, ElementKind.ENUM_DEF),
-    "attribute": (ElementKind.ATTRIBUTE, ElementKind.ATTRIBUTE_DEF),
-    "individual": (ElementKind.INDIVIDUAL, ElementKind.INDIVIDUAL_DEF),
-    "part": (ElementKind.PART, ElementKind.PART_DEF),
-    "item": (ElementKind.ITEM, ElementKind.ITEM_DEF),
-    "requirement": (ElementKind.REQUIREMENT, ElementKind.REQUIREMENT_DEF),
-    "concern": (ElementKind.CONCERN, ElementKind.CONCERN_DEF),
-    "viewpoint": (ElementKind.VIEWPOINT, ElementKind.VIEWPOINT_DEF),
+# Each keyword phrase of FORMS to its row, and each proper prefix of one to the word after it.
+_PHRASES: dict[str, tuple | str] = {
+    " ".join(words[:n]): words[n]
+    for words in (form[0].split() for form in FORMS)
+    for n in range(1, len(words))
 }
-
-# The usages that `in`, `out` and `ref` may precede.  No declaration with
-# further fields (`objective`, `perform action`, `decide`) takes them.
-_PREFIXABLE_KINDS = frozenset(map(ElementKind, (
-    "attribute individual part item requirement concern"
-    " stakeholder viewpoint view actor subject state"
-).split()))
-
-# keyword -> (usage kind, def kind, required second keyword, further fields)
-_DECLARATORS: dict[str, tuple[ElementKind | None, ElementKind | None, str | None, dict]] = {
-    **{word: (usage, def_kind, None, {}) for word, (usage, def_kind) in _PREFIXED.items()},
-    "package": (ElementKind.PACKAGE, None, None, {}),
-    "use": (ElementKind.USE_CASE, ElementKind.USE_CASE_DEF, "case", {}),
-    "view": (ElementKind.VIEW, None, None, {}),
-    "stakeholder": (ElementKind.STAKEHOLDER, None, None, {}),
-    "actor": (ElementKind.ACTOR, None, None, {}),
-    "subject": (ElementKind.SUBJECT, None, None, {}),
-    "objective": (ElementKind.REQUIREMENT, None, None, {"is_objective": True}),
-    "perform": (ElementKind.ACTION, None, "action", {"is_perform": True}),
-    "action": (ElementKind.ACTION, None, None, {}),
-    "decide": (ElementKind.ACTION, None, None, {"flavor": "decide"}),
-    "state": (ElementKind.STATE, None, None, {}),
-}
+_PHRASES.update((form[0], form) for form in FORMS)
+# The one-word keywords that `def` follows: the error for a construct outside the subset lists them.
+_SUPPORTED = tuple(sorted(w for w in _PHRASES if " " not in w and f"{w} def" in _PHRASES))
 
 _INLINE_REL = {":>>": RelKind.REDEFINES, ":>": RelKind.SUBSETS, ":": RelKind.TYPING}
 
@@ -606,7 +566,7 @@ def _parse_declaration(ts: TokenStream) -> Element:
         raise ts.error(("an element declaration",))
     word = first.value
     if word in UNSUPPORTED_KEYWORDS:
-        raise UnsupportedConstruct(first.span, word, tuple(sorted(_PREFIXED)))
+        raise UnsupportedConstruct(first.span, word, _SUPPORTED)
 
     direction: str | None = None
     if word == "in" or word == "out":
@@ -622,25 +582,19 @@ def _parse_declaration(ts: TokenStream) -> Element:
         if direction is not None or is_ref:
             raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
         return special(ts)
-    form = _DECLARATORS.get(word)
-    if form is None:
+    if word not in _PHRASES or " " in word:  # a quoted 'use case' is one token, not a phrase
         raise ts.error(("an element declaration",))
-    usage_kind, def_kind, second, fields = form
     ts.take()
-    if second is not None:
-        ts.expect(second)
-    if def_kind is not None and ts.at("def"):
-        ts.take()
-        kind = def_kind
-    elif usage_kind is None:
-        raise ts.error(("def",))
-    else:
-        kind = usage_kind
-    if (direction is not None or is_ref) and (kind not in _PREFIXABLE_KINDS or fields):
-        declared = " ".join(w for w in (word, second, "def" * (kind is def_kind)) if w)
-        raise ParseError(first.span, f"{declared!r} takes no {first.value!r} prefix")
+    while f"{word} {ts.keyword()}" in _PHRASES:
+        word += " " + ts.take().value
+    form = _PHRASES[word]
+    if isinstance(form, str):  # a proper prefix only, such as `use` without `case`
+        raise ts.error((form if form == "def" else repr(form),))
+    _, kind, fixed, prefixable = form
+    if (direction is not None or is_ref) and not prefixable:
+        raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
 
-    name = _parse_name(ts)
+    name = _parse_element_name(ts)
     relationships: list[Relationship] = []
     multiplicity: Multiplicity | None = None
     value: Expr | None = None
@@ -665,7 +619,7 @@ def _parse_declaration(ts: TokenStream) -> Element:
             break
 
     fields = dict(
-        fields,
+        [fixed] if fixed else (),
         kind=kind,
         name=name,
         multiplicity=multiplicity,
@@ -699,7 +653,7 @@ def _parse_declaration(ts: TokenStream) -> Element:
 
 def _parse_transition(ts: TokenStream) -> Element:
     start = ts.expect("transition")
-    name = _parse_name(ts)
+    name = _parse_element_name(ts)
     ts.expect("first")
     source = _parse_name(ts)
     if source is None:
@@ -739,7 +693,7 @@ def _parse_constraint(ts: TokenStream) -> Element:
     if start.value in ("require", "assume", "assert"):
         constraint_kind = ts.take().value
     ts.expect("constraint")
-    name = _parse_name(ts)
+    name = _parse_element_name(ts)
     ts.expect("{")
     expr = parse_expr(ts)
     end = ts.expect("}")

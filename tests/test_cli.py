@@ -417,6 +417,28 @@ def test_check_refuses_a_prefix_the_declaration_drops(tmp_path, capsys, body, co
     assert capsys.readouterr().err == f"{target}:1:{column}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, column, name",
+    [
+        ("package P { comment /* note */ part 'comment@0'; view v { expose 'comment@0'; } }",
+         37, "comment@0"),
+        ("package 'package@0' { }", 9, "package@0"),
+        ("package P { require constraint 'constraint@12' { true } }", 32, "constraint@12"),
+        ("package P { state s { transition 'transition@0' first a then b; } }", 34,
+         "transition@0"),
+    ],
+    ids=["part", "package", "constraint", "transition"],
+)
+def test_check_refuses_a_name_that_spells_a_synthesized_segment(
+    tmp_path, capsys, text, column, name
+):
+    target = tmp_path / "segment.sysml"
+    target.write_text(text + "\n")
+    assert main(["check", str(target)]) == 2
+    message = f"name {name!r} spells an unnamed element's segment"
+    assert capsys.readouterr().err == f"{target}:1:{column}: {message}\n"
+
+
 def test_an_unexpected_exception_is_one_line_and_exit_2(compiled, capsys, monkeypatch):
     import ssm2sysml.conformance
 

@@ -249,7 +249,7 @@ def test_a_member_added_after_the_tables_are_built_is_found():
     render_view(model, "License Allocation")
     assert model._members is not None
     late = _view("late", ("resources",))
-    grown = model.with_children(model.children + (late,))
+    grown = replace(model, children=model.children + (late,))
     assert grown._members is None
     paths, report = render_view(grown, "late")
     assert report.startswith("view 'late': ") and ("Context", "resources") in paths

@@ -274,8 +274,3 @@ def test_element_convenience_accessors(case_model):
     assert not resolve(case_model, "Context.resources").is_def
 
 
-def test_with_children_replaces_structurally(case_model):
-    trimmed = case_model.with_children(())
-    assert trimmed.children == ()
-    assert trimmed.name == case_model.name
-    assert case_model.children  # original untouched

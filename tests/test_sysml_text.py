@@ -1,6 +1,7 @@
 """Canonical emitter / parser pair: round-trip fidelity and error paths."""
 from __future__ import annotations
 
+import pathlib
 import re
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from ssm2sysml import (
     parse_sysml,
 )
 from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
-from ssm2sysml.sysml_ast import RelKind, iter_walk, package
+from ssm2sysml.sysml_ast import DEF_KINDS, FORMS, RelKind, iter_walk, package
 
 from model_gen import gen_expr, gen_model, kitchen_sink
 
@@ -149,6 +150,27 @@ def test_declaration_errors_name_the_missing_keyword(body, message, column, expe
     error = exc.value
     assert (error.message, error.span.start_line, error.span.start_col) == (message, 1, column)
     assert error.expected == expected
+
+
+@pytest.mark.parametrize("name", ["comment@0", "part@1", "use_case_def@12", "part_def@007"])
+def test_a_name_spelling_a_synthesized_segment_is_refused(name):
+    with pytest.raises(ParseError, match="spells an unnamed element's segment") as exc:
+        parse_sysml(f"package P {{ part '{name}'; }}", "s")
+    assert (exc.value.span.start_line, exc.value.span.start_col) == (1, 18)
+    with pytest.raises(UnsupportedElement, match="spells an unnamed element's segment"):
+        emit(package("P", Element(ElementKind.PART, name=name)))
+
+
+@pytest.mark.parametrize("name", ["widget@0", "comment@", "comment@x", "@0", "part@1 ", "part"])
+def test_a_name_like_a_segment_but_not_one_round_trips(name):
+    model = package("P", Element(ElementKind.PART, name=name))
+    assert parse_sysml(emit(model), "s") == model
+
+
+def test_a_reference_may_spell_a_synthesized_segment():
+    model = parse_sysml("package P { comment /* c */ view v { expose 'comment@0'; } }", "s")
+    assert model.children[1].relationships[0].target == ("comment@0",)
+    assert parse_sysml(emit(model), "s") == model
 
 
 def test_unterminated_body():
@@ -298,3 +320,41 @@ def test_emit_refuses_a_prefix_the_grammar_does_not_admit(element, field):
     kind = "objective" if element.is_objective else element.kind.value
     with pytest.raises(UnsupportedElement, match=f"kind {kind} takes no {field}$"):
         emit(prefixed)
+
+
+GRAMMAR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "GRAMMAR.md"
+
+
+def _expand(tokens: list[str], stop: str | None = None) -> list[tuple[str, ...]]:
+    """Every symbol sequence that EBNF `tokens` up to `stop` spell; consumes them."""
+    sequences, current = [], [()]
+    while tokens and tokens[0] != stop:
+        token = tokens.pop(0)
+        if token == "|":
+            sequences, current = sequences + current, [()]
+        elif token in ("(", "["):
+            inner = _expand(tokens, ")" if token == "(" else "]")
+            tokens.pop(0)
+            current = [c + i for c in current for i in inner + [()] * (token == "[")]
+        else:
+            current = [c + (token.strip('"'),) for c in current]
+    return sequences + current
+
+
+def _declaration_phrases(production: str) -> set[str]:
+    """The keyword phrases of the alternatives of a production that end in `declaration`."""
+    body = re.search(rf"^{production} += (.*?) ;$", GRAMMAR.read_text(), re.M | re.S).group(1)
+    tokens = re.findall(r'"[^"]*"|[()\[\]|]|[\w-]+', body)
+    return {" ".join(s[:-1]) for s in _expand(tokens) if s[-1:] == ("declaration",)}
+
+
+def test_grammar_keyword_lists_are_the_declaration_forms():
+    defs, usages = _declaration_phrases("def"), _declaration_phrases("usage")
+    prefixable = {phrase for phrase in usages if f"ref {phrase}" in usages}
+    unprefixed = {p for p in usages if p.split()[0] not in ("in", "out", "ref")} - prefixable
+    assert defs == {phrase for phrase, kind, _, _ in FORMS if kind in DEF_KINDS}
+    assert prefixable == {phrase for phrase, _, _, prefixed in FORMS if prefixed}
+    # `package` is the file's own production, not a usage.
+    assert unprefixed | {"package"} == {
+        phrase for phrase, kind, _, prefixed in FORMS if not prefixed and kind not in DEF_KINDS
+    }
