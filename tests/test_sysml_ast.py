@@ -272,5 +272,3 @@ def test_element_convenience_accessors(case_model):
     assert [r.target for r in ec2.rels(RelKind.REFINES)] == [("EC1",)]
     assert ec2.is_def
     assert not resolve(case_model, "Context.resources").is_def
-
-
