@@ -32,9 +32,11 @@ from .sysml_ast import (
     Element,
     ElementKind,
     ModelIndex,
+    Position,
     QName,
     RelKind,
     qname_text,
+    segment,
 )
 
 K = ElementKind
@@ -48,41 +50,44 @@ class Rule(Code):
 
 
 class _Context:
-    """Per-check state: the model index plus facts several rules share."""
+    """Per-check state: the model index plus facts several rules share.
+
+    A set of positions holds each as (id, path), since elements compare by structure.
+    """
 
     def __init__(self, model: Element) -> None:
         self.index = ModelIndex(model)
 
-    def roles(self, element: Element) -> set[str]:
+    def roles(self, element: Element, path: QName) -> set[str]:
         """CATWOE role labels tagged on or inherited by the element."""
-        return _roles(self.index.effective_metadata(element))
+        return _roles(self.index.effective_metadata(element, path))
 
     @cached_property
-    def transformations(self) -> dict[int, Element]:
-        """The Transformation-tagged use cases, by id."""
+    def transformations(self) -> list[Position]:
+        """The Transformation-tagged use cases."""
+        return [
+            (element, path)
+            for element, path in self.index.pairs
+            if element.kind is K.USE_CASE and "Transformation" in self.roles(element, path)
+        ]
+
+    @cached_property
+    def transformation_subjects(self) -> set[tuple[int, QName]]:
+        """The (id, path) of each element a transformation use case's subject subsets."""
         return {
-            id(element): element
-            for element, _ in self.index.pairs
-            if element.kind is K.USE_CASE and "Transformation" in self.roles(element)
+            target
+            for ucase, path in self.transformations
+            if (target := _subject_target(self.index, ucase, path)) is not None
         }
 
     @cached_property
-    def transformation_subjects(self) -> set[int]:
-        """Ids of the elements the transformation use cases' subjects subset."""
+    def stakeholder_targets(self) -> set[tuple[int, QName]]:
+        """The (id, path) of each element some stakeholder usage subsets."""
         return {
-            id(target)
-            for ucase in self.transformations.values()
-            if (target := _subject_target(self.index, ucase)) is not None
-        }
-
-    @cached_property
-    def stakeholder_targets(self) -> set[int]:
-        """Ids of the elements some stakeholder usage subsets."""
-        return {
-            id(target)
-            for element, _ in self.index.pairs
+            (id(target), at)
+            for element, path in self.index.pairs
             if element.kind is K.STAKEHOLDER
-            for target in self.index.targets(element, RelKind.SUBSETS)
+            for target, at in self.index.targets(element, path, RelKind.SUBSETS)
         }
 
 
@@ -110,8 +115,8 @@ def _rationale_text(element: Element) -> str | None:
 def _check_act_1(ctx: _Context, actor: Element, path: QName) -> Iterator[str]:
     ucase = ctx.index.enclosing(path, _USE_CASES)
     if ucase is not None and not any(
-        target.kind is K.INDIVIDUAL and ctx.index.path(target)[: len(ucase)] != ucase
-        for target in ctx.index.targets(actor, RelKind.SUBSETS)
+        target.kind is K.INDIVIDUAL and at[: len(ucase)] != ucase
+        for target, at in ctx.index.targets(actor, path, RelKind.SUBSETS)
     ):
         yield (
             "actor usage does not subset an individual occurrence "
@@ -122,7 +127,7 @@ def _check_act_1(ctx: _Context, actor: Element, path: QName) -> Iterator[str]:
 def _check_stk_1(ctx: _Context, stakeholder: Element, path: QName) -> Iterator[str]:
     if not any(
         target.kind is K.INDIVIDUAL
-        for target in ctx.index.targets(stakeholder, RelKind.SUBSETS)
+        for target, _ in ctx.index.targets(stakeholder, path, RelKind.SUBSETS)
     ):
         yield "stakeholder usage does not subset an individual occurrence"
 
@@ -131,10 +136,10 @@ def _check_env_1(ctx: _Context, requirement: Element, path: QName) -> Iterator[s
     typing = requirement.typing()
     if typing is None:
         return
-    target = ctx.index.resolve_target(requirement, typing)
+    target = ctx.index.resolve_relative(path, typing)
     if (
         target is not None
-        and "Environment" in ctx.roles(target)
+        and "Environment" in ctx.roles(*target)
         and not any(child.kind is K.CONSTRAINT for child in requirement.children)
     ):
         yield (
@@ -144,12 +149,12 @@ def _check_env_1(ctx: _Context, requirement: Element, path: QName) -> Iterator[s
 
 
 def _check_wvw_1(ctx: _Context, viewpoint: Element, path: QName) -> Iterator[str]:
-    if "Worldview" in ctx.roles(viewpoint) and not _rationale_text(viewpoint):
+    if "Worldview" in ctx.roles(viewpoint, path) and not _rationale_text(viewpoint):
         yield "worldview viewpoint lacks rationale metadata with nonempty text"
 
 
 def _check_trf_1(ctx: _Context, ucase: Element, path: QName) -> Iterator[str]:
-    if id(ucase) not in ctx.transformations:
+    if "Transformation" not in ctx.roles(ucase, path):
         return
     subjects = sum(child.kind is K.SUBJECT for child in ucase.children)
     if subjects != 1:
@@ -164,19 +169,23 @@ def _check_trf_1(ctx: _Context, ucase: Element, path: QName) -> Iterator[str]:
         yield "transformation use case objective references no requirement"
 
 
-def _subject_target(index: ModelIndex, element: Element) -> Element | None:
-    for child in element.children:
+def _subject_target(
+    index: ModelIndex, element: Element, path: QName
+) -> tuple[int, QName] | None:
+    """The (id, path) of what the element's first subject with a resolvable subsetting subsets."""
+    for i, child in enumerate(element.children):
         if child.kind is K.SUBJECT:
-            targets = index.targets(child, RelKind.SUBSETS)
+            targets = index.targets(child, path + (segment(child, i),), RelKind.SUBSETS)
             if targets:
-                return targets[0]
+                target, at = targets[0]
+                return id(target), at
     return None
 
 
 def _check_sub_1(ctx: _Context, concern: Element, path: QName) -> Iterator[str]:
     subjects = ctx.transformation_subjects
-    target = _subject_target(ctx.index, concern)
-    if subjects and target is not None and id(target) not in subjects:
+    target = _subject_target(ctx.index, concern, path)
+    if subjects and target is not None and target not in subjects:
         yield "concern subject differs from every transformation use case subject"
 
 
@@ -196,20 +205,21 @@ def _check_view_1(ctx: _Context, element: Element, path: QName) -> Iterator[str]
 def _check_ind_1(ctx: _Context, individual: Element, path: QName) -> Iterator[str]:
     if not any(
         target.kind is K.INDIVIDUAL_DEF
-        for target in ctx.index.targets(individual, RelKind.TYPING)
+        for target, _ in ctx.index.targets(individual, path, RelKind.TYPING)
     ):
         yield "individual occurrence is not typed by an individual definition"
 
 
 def _check_cat_1(ctx: _Context, package: Element, path: QName) -> Iterator[str]:
+    # A transformation package holds a transformation use case strictly below its path.
+    if not any(len(at) > len(path) and at[: len(path)] == path for _, at in ctx.transformations):
+        return
     # The package itself and every element strictly below its path.
     members = [package] + [
         member
         for member, inner in ctx.index.pairs
         if len(inner) > len(path) and inner[: len(path)] == path
     ]
-    if not any(id(member) in ctx.transformations for member in members):
-        return
     present = set().union(*(_roles(member.metadata_applications()) for member in members))
     missing = [label for label in _ALL_ROLES if label not in present]
     if missing:
@@ -217,7 +227,8 @@ def _check_cat_1(ctx: _Context, package: Element, path: QName) -> Iterator[str]:
 
 
 def _check_own_1(ctx: _Context, individual: Element, path: QName) -> Iterator[str]:
-    if "Owner" in ctx.roles(individual) and id(individual) not in ctx.stakeholder_targets:
+    owner = "Owner" in ctx.roles(individual, path)
+    if owner and (id(individual), path) not in ctx.stakeholder_targets:
         yield "owner-tagged individual is not referenced by any stakeholder usage"
 
 

@@ -44,10 +44,10 @@ from .sysml_ast import (
     RATIONALE_DEF,
     Element,
     ElementKind,
-    ModelIndex,
     RelKind,
     Relationship,
     Succession,
+    iter_walk,
     qname_text,
 )
 
@@ -741,10 +741,10 @@ def map_context(
     model = Element(
         ElementKind.PACKAGE, name=ctx.name, children=tuple(members), span=ctx.span
     )
-    index = ModelIndex(model)
+    paths = {id(element): path for element, path in iter_walk(model)}  # shares no object
     report = MappingReport(
         tuple(
-            ProvenanceEntry(qname_text(index.path(element)), element.span, role)
+            ProvenanceEntry(qname_text(paths[id(element)]), element.span, role)
             for element, role in provenance
         ),
         tuple(warnings),

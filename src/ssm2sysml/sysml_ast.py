@@ -270,15 +270,14 @@ class Element:
         return self.kind in DEF_KINDS
 
 
-def package(name: str, *children: Element, **kwargs) -> Element:
-    return Element(ElementKind.PACKAGE, name=name, children=tuple(children), **kwargs)
-
-
 # --- traversal and resolution ------------------------------------------------
 
+# An element together with its path: one object placed twice has two.
+Position = tuple[Element, QName]
 
-def walk(model: Element) -> list[tuple[Element, QName]]:
-    """Depth-first, document-order traversal visiting every element once.
+
+def walk(model: Element) -> list[Position]:
+    """Depth-first, document-order traversal visiting every position once.
 
     Returns (element, path) pairs; the path uses synthesized segments
     (`kind@index`) for unnamed elements so every node has a unique,
@@ -287,22 +286,23 @@ def walk(model: Element) -> list[tuple[Element, QName]]:
     return list(iter_walk(model))
 
 
-def iter_walk(model: Element) -> Iterator[tuple[Element, QName]]:
-    return _walk(model, (_segment(model, 0),))
+def iter_walk(model: Element) -> Iterator[Position]:
+    return _walk(model, (segment(model, 0),))
 
 
-def _segment(element: Element, index: int) -> str:
+def segment(element: Element, index: int) -> str:
+    """The path segment of the `index`th child: its name, or `kind@index` if unnamed."""
     return element.name if element.name else f"{element.kind.value}@{index}"
 
 
-def _walk(top: Element, top_path: QName) -> Iterator[tuple[Element, QName]]:
+def _walk(top: Element, top_path: QName) -> Iterator[Position]:
     """`top` at `top_path` and all below it in document order, lazily, without recursion."""
     yield top, top_path
     stack = [(top_path, enumerate(top.children))]
     while stack:
         path, children = stack[-1]
         for i, child in children:
-            child_path = path + (_segment(child, i),)
+            child_path = path + (segment(child, i),)
             yield child, child_path
             if child.children:
                 stack.append((child_path, enumerate(child.children)))
@@ -347,19 +347,21 @@ def _members_of(element: Element) -> dict[str, list[Element]]:
     if members is None:
         members = {}
         for i, child in enumerate(element.children):
-            members.setdefault(_segment(child, i), []).append(child)
+            members.setdefault(segment(child, i), []).append(child)
         object.__setattr__(element, "_members", members)
     return members
 
 
 class ModelIndex:
-    """Path and identity indices over one model, built a namespace at a time.
+    """Path indices over one model, built a namespace at a time.
 
     The only code that resolves relationship targets and walks
     ancestors; check, build_graph and render_view each build one per
-    call and share it across their rules and queries.  A lookup opens
-    only the namespaces on its way to a name, through the member table
-    each element keeps (`_members_of`), so every later index of the same
+    call and share it across their rules and queries.  Lookups take and
+    return positions, an element together with its path, so an element
+    placed at two positions resolves from each.  A lookup opens only
+    the namespaces on its way to a name, through the member table each
+    element keeps (`_members_of`), so every later index of the same
     model, such as the next `render_view`, reuses the tables instead of
     scanning the members again.  Using `pairs` or `by_path` walks the
     whole model; lookups then probe `by_path`.
@@ -367,110 +369,92 @@ class ModelIndex:
 
     def __init__(self, model: Element) -> None:
         self.model = model
-        self._pairs: list[tuple[Element, QName]] | None = None
-        self._by_path: dict[QName, Element] | None = None
-        self._paths: dict[int, QName] = {}
-        self._meta_cache: dict[int, tuple[Element, ...]] = {}
+        self._pairs: list[Position] | None = None
+        self._by_path: dict[QName, Position] | None = None
+        self._typed: dict[tuple[int, QName], tuple[Position, ...]] = {}
 
-    def _walk_all(self) -> list[tuple[Element, QName]]:
+    def _walk_all(self) -> list[Position]:
         if self._pairs is None:
             self._pairs = walk(self.model)
-            self._by_path = {p: e for e, p in self._pairs}
-            self._paths = {id(e): p for e, p in self._pairs}
+            self._by_path = {pair[1]: pair for pair in self._pairs}
         return self._pairs
 
     pairs = property(_walk_all, doc="Every (element, path) in document order.")
 
     @property
-    def by_path(self) -> dict[QName, Element]:
-        """Each path's element; where paths repeat, the last in document order."""
+    def by_path(self) -> dict[QName, Position]:
+        """Each path's position; where paths repeat, the last in document order."""
         self._walk_all()
         return self._by_path
 
-    def path(self, element: Element) -> QName | None:
-        """The element's path; one that no lookup has reached completes the walk."""
-        if self._pairs is None and id(element) not in self._paths:
-            self._walk_all()
-        return self._paths.get(id(element))
-
-    def get(self, path: QName) -> Element | None:
-        """The element `by_path` holds for `path`, or None, without walking the model."""
+    def get(self, path: QName) -> Position | None:
+        """The position `by_path` holds for `path`, or None, without walking the model."""
         found = self._at(path)
-        return found[-1] if found else None
+        return (found[-1], path) if found else None
 
     def _at(self, path: QName) -> list[Element]:
         """Every element at `path` in document order, opening the namespaces above it."""
-        found = [self.model] if path[:1] == (_segment(self.model, 0),) else []
-        for segment in path[1:]:
-            found = [child for owner in found for child in _members_of(owner).get(segment, ())]
-        for element in found:
-            self._paths[id(element)] = path
+        found = [self.model] if path[:1] == (segment(self.model, 0),) else []
+        for name in path[1:]:
+            found = [child for owner in found for child in _members_of(owner).get(name, ())]
         return found
 
-    def subtree(self, path: QName) -> Iterator[tuple[Element, QName]]:
-        """Every element at `path` or below it, with its path, in document order."""
+    def subtree(self, path: QName) -> Iterator[Position]:
+        """Every position at `path` or below it, in document order."""
         for top in self._at(path):
-            for element, inner in _walk(top, path):
-                self._paths[id(element)] = inner
-                yield element, inner
+            yield from _walk(top, path)
 
-    def resolve_relative(self, owner_path: QName, target: QName) -> Element | None:
-        """Resolve `target` lexically: innermost enclosing namespace outward.
-
-        Returns None when nothing matches.
-        """
+    def resolve_relative(self, owner_path: QName, target: QName) -> Position | None:
+        """Resolve `target` lexically, innermost enclosing namespace outward, the
+        root's name included; None when nothing matches."""
         get = self.get if self._by_path is None else self._by_path.get
         for cut in range(len(owner_path) - 1, -1, -1):
             found = get(owner_path[:cut] + target)
             if found is not None:
                 return found
-        if target[:1] == (self.model.name,):
-            return get(target)
         return None
 
-    def resolve_target(self, element: Element, target: QName) -> Element | None:
-        owner = self.path(element)
-        if owner is None:
-            return None
-        return self.resolve_relative(owner, target)
-
-    def targets(self, element: Element, kind: RelKind) -> list[Element]:
+    def targets(self, element: Element, path: QName, kind: RelKind) -> list[Position]:
         """Resolvable targets of the element's `kind` relationships, in order."""
-        found = []
-        for rel in element.rels(kind):
-            target = self.resolve_target(element, rel.target)
-            if target is not None:
-                found.append(target)
-        return found
+        return [
+            target
+            for rel in element.rels(kind)
+            if (target := self.resolve_relative(path, rel.target)) is not None
+        ]
 
     def enclosing(self, path: QName, kinds: frozenset[ElementKind]) -> QName | None:
         """Path of the innermost proper ancestor whose kind is in `kinds`."""
         for cut in range(len(path) - 1, 0, -1):
             owner = self.by_path.get(path[:cut])
-            if owner is not None and owner.kind in kinds:
-                return path[:cut]
+            if owner is not None and owner[0].kind in kinds:
+                return owner[1]
         return None
 
-    def effective_metadata(self, element: Element) -> tuple[Element, ...]:
-        """Own metadata applications plus those inherited through typing.
+    def typed_by(self, element: Element, path: QName) -> tuple[Position, ...]:
+        """The position, then every position its typing reaches, each once,
+        depth first in document order, so typing cycles terminate.
 
-        A usage inherits the tags of its definition; specialization
-        chains propagate transitively.  Each element reachable through
-        typing contributes once, so typing cycles terminate and the
-        result does not depend on which element was asked about first.
+        Cached by id and path, since a model built in memory can repeat a path.
         """
-        key = id(element)
-        if key not in self._meta_cache:
-            apps: list[Element] = []
-            seen = {key}
-            stack = [element]
+        key = (id(element), path)
+        found = self._typed.get(key)
+        if found is None:
+            reached = {key: (element, path)}
+            stack = self.targets(element, path, RelKind.TYPING)[::-1]
             while stack:
-                current = stack.pop()
-                apps.extend(current.metadata_applications())
-                for target in reversed(self.targets(current, RelKind.TYPING)):
-                    if id(target) not in seen:
-                        seen.add(id(target))
-                        stack.append(target)
-            self._meta_cache[key] = tuple(apps)
-        return self._meta_cache[key]
+                position = stack.pop()
+                at = (id(position[0]), position[1])
+                if at not in reached:
+                    reached[at] = position
+                    stack.extend(reversed(self.targets(*position, RelKind.TYPING)))
+            found = self._typed[key] = tuple(reached.values())
+        return found
 
+    def effective_metadata(self, element: Element, path: QName) -> tuple[Element, ...]:
+        """Own metadata applications plus those inherited through typing: a usage
+        inherits the tags of its definition, and each position typing reaches
+        contributes once."""
+        return tuple(
+            app for current, _ in self.typed_by(element, path)
+            for app in current.metadata_applications()
+        )

@@ -571,18 +571,18 @@ def _parse_declaration(ts: TokenStream) -> Element:
     direction: str | None = None
     if word == "in" or word == "out":
         direction = ts.take().value
-        word = ts.current.value
+        word = ts.keyword()
     is_ref = ts.at("ref")
     if is_ref:
         ts.take()
-        word = ts.current.value
+        word = ts.keyword()
 
     special = _SPECIAL_DECLARATIONS.get(word)
     if special is not None:
         if direction is not None or is_ref:
             raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
         return special(ts)
-    if word not in _PHRASES or " " in word:  # a quoted 'use case' is one token, not a phrase
+    if word not in _PHRASES:
         raise ts.error(("an element declaration",))
     ts.take()
     while f"{word} {ts.keyword()}" in _PHRASES:

@@ -37,6 +37,7 @@ from .sysml_ast import (
     FTyped,
     FilterExpr,
     ModelIndex,
+    Position,
     QName,
     RelKind,
     iter_walk,
@@ -96,11 +97,10 @@ def build_graph(model: Element) -> TraceGraph:
     """One node per element, one edge per relationship instance."""
     index = ModelIndex(model)
     nodes = tuple(path for _, path in index.pairs)
-    by_path = index.by_path
     edges: list[TraceEdge] = []
 
     def add(source: QName | None, target: QName | None, kind: str) -> None:
-        if source in by_path and target in by_path:
+        if source is not None and target is not None:
             edges.append(TraceEdge(source, target, kind))
 
     use_cases = frozenset({ElementKind.USE_CASE, ElementKind.USE_CASE_DEF})
@@ -113,8 +113,8 @@ def build_graph(model: Element) -> TraceGraph:
         concern_path = index.enclosing(path, concerns) if hoists else None
 
         for rel in element.relationships:
-            target = index.resolve_target(element, rel.target)
-            resolved = None if target is None else index.path(target)
+            target = index.resolve_relative(path, rel.target)
+            resolved = None if target is None else target[1]
             if rel.kind in _DIRECT:
                 add(path, resolved, _DIRECT[rel.kind])
             elif rel.kind is RelKind.REFERENCES:
@@ -138,13 +138,13 @@ def build_graph(model: Element) -> TraceGraph:
                     add(path, resolved, "subsets")
 
         if element.performer is not None:
-            resolved = index.resolve_target(element, element.performer)
-            if resolved is not None and resolved.kind is ElementKind.ACTOR:
+            performer = index.resolve_relative(path, element.performer)
+            if performer is not None and performer[0].kind is ElementKind.ACTOR:
                 # Trace through the local actor usage to the occurrence.
-                occurrences = index.targets(resolved, RelKind.SUBSETS)
-                resolved = occurrences[0] if occurrences else resolved
-            if resolved is not None:
-                add(path, index.path(resolved), "performs")
+                occurrences = index.targets(*performer, RelKind.SUBSETS)
+                performer = occurrences[0] if occurrences else performer
+            if performer is not None:
+                add(path, performer[1], "performs")
 
     return TraceGraph(nodes, tuple(edges))
 
@@ -189,9 +189,7 @@ def evaluate_filter(model: Element, expr: FilterExpr) -> set[QName]:
     """
     index = ModelIndex(model)
     _validate_atoms(index, expr)
-    return {
-        path for element, path in index.pairs if _matches(index, element, expr)
-    }
+    return {pair[1] for pair in index.pairs if _matches(index, pair, expr)}
 
 
 def _validate_atoms(index: ModelIndex, expr: FilterExpr) -> None:
@@ -213,29 +211,31 @@ def _validate_atoms(index: ModelIndex, expr: FilterExpr) -> None:
             raise UnknownType(name)
 
 
-def _matches(index: ModelIndex, element: Element, expr: FilterExpr) -> bool:
+def _matches(index: ModelIndex, position: Position, expr: FilterExpr) -> bool:
     if isinstance(expr, FAnd):
-        return _matches(index, element, expr.left) and _matches(index, element, expr.right)
+        return _matches(index, position, expr.left) and _matches(index, position, expr.right)
     if isinstance(expr, FOr):
-        return _matches(index, element, expr.left) or _matches(index, element, expr.right)
+        return _matches(index, position, expr.left) or _matches(index, position, expr.right)
     if isinstance(expr, FNot):
-        return not _matches(index, element, expr.operand)
+        return not _matches(index, position, expr.operand)
     if isinstance(expr, FHasMeta):
         return any(
             app.meta_def and app.meta_def[-1] == expr.metadata_def[-1]
-            for app in index.effective_metadata(element)
+            for app in index.effective_metadata(*position)
         )
     if isinstance(expr, FMetaEq):
         return any(
             app.meta_def
             and app.meta_def[-1] == expr.metadata_def[-1]
             and _binding_equals(app, expr.attribute, expr.literal)
-            for app in index.effective_metadata(element)
+            for app in index.effective_metadata(*position)
         )
     if isinstance(expr, FTyped):
-        return _typing_reaches(index, element, expr.type_name)
+        return any(
+            _names_match(*reached, expr.type_name) for reached in index.typed_by(*position)[1:]
+        )
     if isinstance(expr, FKind):
-        return element.kind.value == expr.kind
+        return position[0].kind.value == expr.kind
     raise TypeError(f"not a filter expression: {expr!r}")
 
 
@@ -243,28 +243,10 @@ def _binding_equals(app: Element, attribute: str, literal: Expr) -> bool:
     return any(attr == attribute and value == literal for attr, value in app.bindings)
 
 
-def _typing_reaches(index: ModelIndex, element: Element, type_name: QName) -> bool:
-    seen: set[int] = set()
-    frontier = [element]
-    while frontier:
-        current = frontier.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        if current is not element and _names_match(index, current, type_name):
-            return True
-        for rel in current.rels(RelKind.TYPING):
-            target = index.resolve_target(current, rel.target)
-            if target is not None:
-                frontier.append(target)
-    return False
-
-
-def _names_match(index: ModelIndex, element: Element, type_name: QName) -> bool:
+def _names_match(element: Element, path: QName, type_name: QName) -> bool:
     if len(type_name) == 1:
         return element.name == type_name[0]
-    path = index.path(element)
-    return path is not None and path[-len(type_name):] == type_name
+    return path[-len(type_name):] == type_name
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +257,22 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
     """Exposed subtrees intersected with the view's filter, plus a report."""
     path = qname(view_path) if isinstance(view_path, str) else view_path
     index = ModelIndex(model)
-    view = index.get(path)
-    if view is None and len(path) == 1:
+    found = index.get(path)
+    if found is None and len(path) == 1:
         # Allow addressing a top-level view without the package prefix.
-        full = (model.name or "",) + path
-        view = index.get(full)
-        path = full if view is not None else path
-    if view is None or view.kind is not ElementKind.VIEW:
-        raise unknown_element(path, index.by_path)
+        found = index.get((model.name or "",) + path)
+    if found is None or found[0].kind is not ElementKind.VIEW:
+        raise unknown_element(found[1] if found else path, index.by_path)
+    view, path = found
 
-    roots = dict.fromkeys(index.path(t) for t in index.targets(view, RelKind.EXPOSES))
+    roots = dict.fromkeys(root for _, root in index.targets(view, path, RelKind.EXPOSES))
     members = [pair for root in roots for pair in index.subtree(root)]
     # Where paths repeat, the report names the last element's kind, as `by_path` would.
     kinds = {p: element.kind for element, p in members}
     exposed = set(kinds)
     if view.filter is not None and members:
         _validate_atoms(index, view.filter)
-        exposed = {p for element, p in members if _matches(index, element, view.filter)}
+        exposed = {pair[1] for pair in members if _matches(index, pair, view.filter)}
 
     report = _grouped_report(view, exposed, kinds)
     return exposed, report

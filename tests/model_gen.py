@@ -9,6 +9,7 @@ the only form `Lit` admits.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ssm2sysml.exprs import Binary, EnumLit, Expr, Lit, Ref, Unary
 from ssm2sysml.sysml_ast import (
@@ -360,6 +361,10 @@ def gen_element(rng: random.Random, depth: int, kind: ElementKind) -> Element:
     )
 
 
+def package(name: str, *children: Element, **kwargs) -> Element:
+    return Element(ElementKind.PACKAGE, name=name, children=tuple(children), **kwargs)
+
+
 def gen_model(seed: int) -> Element:
     rng = random.Random(seed)
     members = tuple(
@@ -367,6 +372,22 @@ def gen_model(seed: int) -> Element:
         for _ in range(rng.randint(1, 6))
     )
     return Element(ElementKind.PACKAGE, name=pick_name(rng), children=members)
+
+
+def gen_shared_model(seed: int) -> Element | None:
+    """`gen_model(seed)` with one named member also placed inside a sibling that
+    has a body, so one object sits at two positions; None where no member can."""
+    model = gen_model(seed)
+    rng = random.Random(seed)
+    named = [child for child in model.children if child.name]
+    hosts = [i for i, host in enumerate(model.children) if host.children]
+    pairs = [(child, i) for child in named for i in hosts if model.children[i] is not child]
+    if not pairs:
+        return None
+    child, i = rng.choice(pairs)
+    members = list(model.children)
+    members[i] = replace(members[i], children=members[i].children + (child,))
+    return replace(model, children=tuple(members))
 
 
 def kitchen_sink() -> Element:

@@ -17,8 +17,8 @@ from ssm2sysml import Element, ElementKind, emit, parse_sysml
 from ssm2sysml.cli import main
 from ssm2sysml.exprs import Lit
 from ssm2sysml.lexing import CONSTRAINT_DEPTH, MAX_NESTING
-from ssm2sysml.sysml_ast import package
 
+from model_gen import package
 from mutations import MUTATIONS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -408,6 +408,10 @@ def test_check_runs_a_repeated_rule_once(tmp_path, compiled, capsys):
         ("in ref perform action a;", 13, "'perform action' takes no 'in' prefix"),
         ("ref metadata def M;", 13, "'metadata def' takes no 'ref' prefix"),
         ("out use case def U;", 13, "'use case def' takes no 'out' prefix"),
+        # A quoted name or a string after a prefix is no keyword.
+        ("in 'part' x;", 16, "expected an element declaration, found 'part'"),
+        ('ref "part" x;', 17, "expected an element declaration, found 'part'"),
+        ("out 'use case' u;", 17, "expected an element declaration, found 'use case'"),
     ],
 )
 def test_check_refuses_a_prefix_the_declaration_drops(tmp_path, capsys, body, column, message):

@@ -405,6 +405,10 @@ PLANNED = {
 }
 
 
+def _element(position):
+    return position and position[0]
+
+
 def unplanned_references(model, report=None) -> list[str]:
     """Duplicate member names, and references that resolve to no planned element."""
     index = ModelIndex(model)
@@ -416,7 +420,7 @@ def unplanned_references(model, report=None) -> list[str]:
         for rel in element.relationships:
             if rel.kind is RelKind.REDEFINES:
                 continue
-            target = index.resolve_target(element, rel.target)
+            target = _element(index.resolve_relative(path, rel.target))
             if rel.target == ("String",):  # the library's
                 ok = target is None
             else:
@@ -426,7 +430,7 @@ def unplanned_references(model, report=None) -> list[str]:
         checks = [(element.performer, {K.ACTOR, K.INDIVIDUAL})] if element.performer else []
         checks += [(element.meta_def, {K.METADATA_DEF})] if element.meta_def else []
         for target_name, kinds in checks:
-            target = index.resolve_target(element, target_name)
+            target = _element(index.resolve_relative(path, target_name))
             if target is None or target.kind not in kinds:
                 found.append(f"{where}: {target_name} -> {target and target.kind}")
         actions = {c.name for c in element.children if c.kind is K.ACTION}

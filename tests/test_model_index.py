@@ -47,8 +47,9 @@ from ssm2sysml.sysml_ast import (
     Relationship,
     iter_walk,
 )
+from ssm2sysml.trace_view import TraceEdge
 
-from model_gen import gen_model
+from model_gen import gen_model, gen_shared_model, package
 from mutations import MUTATIONS, UC, drop_rels, edit
 from ssm_gen import gen_context
 
@@ -184,31 +185,6 @@ def test_one_index_per_call(monkeypatch):
         assert built == [model]
 
 
-def test_render_view_indexes_only_the_namespaces_it_touches(monkeypatch):
-    indices = []
-    original = ModelIndex.__init__
-
-    def capturing_init(self, model):
-        indices.append(self)
-        original(self, model)
-
-    def no_full_walk(model):
-        raise AssertionError("render_view walked the whole model")
-
-    monkeypatch.setattr(ModelIndex, "__init__", capturing_init)
-    monkeypatch.setattr(sysml_ast, "walk", no_full_walk)
-    model = _models()["case+views"]
-    elements = sum(1 for _ in iter_walk(model))
-    for name, exposed in (("tagged", 3), ("all", 24)):
-        indices.clear()
-        paths, _ = render_view(model, name)
-        assert len(paths) == exposed
-        [index] = indices
-        # The root, the view, its exposed subtrees and their typing targets:
-        # 25 and 26 of the 74 elements.
-        assert len(index._paths) < elements / 2
-
-
 # --- member tables memoized on the elements ------------------------------------
 
 
@@ -219,6 +195,22 @@ def _fresh(name: str) -> Element:
 
 def _tables(model: Element) -> dict[int, dict]:
     return {id(e): e._members for e, _ in iter_walk(model) if e._members is not None}
+
+
+def test_render_view_indexes_only_the_namespaces_it_touches(monkeypatch):
+    model = _fresh("case+views")
+    namespaces = sum(1 for element, _ in iter_walk(model) if element.children)
+
+    def no_full_walk(model):
+        raise AssertionError("render_view walked the whole model")
+
+    monkeypatch.setattr(sysml_ast, "walk", no_full_walk)
+    for name, exposed in (("tagged", 3), ("all", 24)):
+        paths, _ = render_view(model, name)
+        assert len(paths) == exposed
+    # The root's table and those of the two exposed namespaces in which the tagged
+    # view resolves its members' typing: 3 of the 22 namespaces.
+    assert len(_tables(model)) == 3 < namespaces
 
 
 def test_a_repeated_view_builds_no_member_table():
@@ -272,6 +264,51 @@ def test_filled_tables_leave_equality_hash_and_repr_alone():
     assert model == twin
     assert hash(model) == hash(twin) == before[0]
     assert repr(model) == repr(twin) == before[1]
+
+
+# --- one object at two positions ----------------------------------------------
+
+
+def _outputs(model: Element) -> tuple:
+    """What check, build_graph and render_view say of a model, spans aside."""
+    return (
+        [(d.rule_id, d.element_path, d.message) for d in check(model)],
+        build_graph(model).edges,
+        _views(model),
+    )
+
+
+def _shares_nothing(model: Element) -> Element | None:
+    """The parsed copy of a model, which holds no object twice, if it equals the model."""
+    copy = parse_sysml(emit(model), "copy")
+    return copy if copy == model else None
+
+
+def test_a_shared_element_resolves_from_each_of_its_positions():
+    x = Element(ElementKind.PART, name="x", relationships=(Relationship(RelKind.TYPING, ("T",)),))
+    model = package(
+        "P",
+        package("A", Element(ElementKind.PART_DEF, name="T"), x),
+        package("B", x),
+        _view("v", ("A", "B"), FTyped(("T",))),
+    )
+    assert TraceEdge(("P", "A", "x"), ("P", "A", "T"), "typedBy") in build_graph(model).edges
+    assert render_view(model, "v")[0] == {("P", "A", "x")}
+    assert _outputs(model) == _outputs(_shares_nothing(model))
+
+
+# Generated models with one member also placed in a sibling, where they round-trip.
+SHARED = {
+    seed: model
+    for seed in range(100)
+    if (model := gen_shared_model(seed)) is not None and _shares_nothing(model) is not None
+}
+
+
+@pytest.mark.parametrize("seed", list(SHARED))
+def test_a_shared_element_answers_as_its_parsed_copy(seed):
+    model = SHARED[seed]
+    assert _outputs(model) == _outputs(_shares_nothing(model))
 
 
 if __name__ == "__main__":

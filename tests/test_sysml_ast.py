@@ -24,13 +24,12 @@ from ssm2sysml.sysml_ast import (
     QName,
     Relationship,
     iter_walk,
-    package,
     qname,
     qname_text,
 )
 
 from conftest import count_elements
-from model_gen import gen_model
+from model_gen import gen_model, package
 from mutations import MUTATIONS
 
 
@@ -137,8 +136,10 @@ def test_resolve_relative_prefers_innermost():
     holder = Element(ElementKind.PART, name="holder", children=(inner,))
     model = package("P", outer, holder)
     index = ModelIndex(model)
-    assert index.resolve_relative(("P", "holder", "holder"), ("x",)) is inner
-    assert index.resolve_relative(("P", "other"), ("x",)) is outer
+    found, path = index.resolve_relative(("P", "holder", "holder"), ("x",))
+    assert found is inner and path == ("P", "holder", "x")
+    found, path = index.resolve_relative(("P", "other"), ("x",))
+    assert found is outer and path == ("P", "x")
 
 
 def test_resolve_relative_accepts_root_qualified_path(case_model):
@@ -146,12 +147,13 @@ def test_resolve_relative_accepts_root_qualified_path(case_model):
     found = index.resolve_relative(
         ("Context", "EC1"), ("Context", "transformationSystem")
     )
-    assert found is not None and found.name == "transformationSystem"
+    assert found is not None and found[0].name == "transformationSystem"
+    assert found[1] == ("Context", "transformationSystem")
 
 
 def test_effective_metadata_inherits_through_typing(case_model):
     ec1 = resolve(case_model, "Context.EC1")
-    tags = ModelIndex(case_model).effective_metadata(ec1)
+    tags = ModelIndex(case_model).effective_metadata(ec1, ("Context", "EC1"))
     literals = {
         value.literal
         for app in tags
@@ -163,10 +165,11 @@ def test_effective_metadata_inherits_through_typing(case_model):
 
 
 def test_effective_metadata_transitive_two_levels(case_model):
-    uc = resolve(case_model, "Context.transformationSystem.assignLicense")
+    path = ("Context", "transformationSystem", "assignLicense")
+    uc = resolve(case_model, path)
     literals = {
         value.literal
-        for app in ModelIndex(case_model).effective_metadata(uc)
+        for app in ModelIndex(case_model).effective_metadata(uc, path)
         for _, value in app.bindings
         if isinstance(value, EnumLit)
     }
@@ -188,8 +191,8 @@ def test_effective_metadata_tolerates_typing_cycles():
     model = package("P", a, b)
     index = ModelIndex(model)
     # Termination is the contract; duplicates through the cycle are fine.
-    assert {app.meta_def for app in index.effective_metadata(a)} == {("M",)}
-    assert {app.meta_def for app in index.effective_metadata(b)} == {("M",)}
+    assert {app.meta_def for app in index.effective_metadata(a, ("P", "A"))} == {("M",)}
+    assert {app.meta_def for app in index.effective_metadata(b, ("P", "B"))} == {("M",)}
 
 
 def test_effective_metadata_is_independent_of_query_order():
@@ -209,12 +212,12 @@ def test_effective_metadata_is_independent_of_query_order():
     for order in ((b, c, e), (c, b, e), (e, c, b)):
         index = ModelIndex(model)
         tags = {
-            el.name: {app.meta_def for app in index.effective_metadata(el)}
+            el.name: {app.meta_def for app in index.effective_metadata(el, ("P", el.name))}
             for el in order
         }
         assert tags == {"B": everything, "C": everything, "E": {("ME",)}}
     # Each reachable element contributes its applications once.
-    assert len(ModelIndex(model).effective_metadata(c)) == 3
+    assert len(ModelIndex(model).effective_metadata(c, ("P", "C"))) == 3
 
 
 def duplicate_names(model: Element) -> list[QName]:
@@ -262,7 +265,7 @@ def test_qname_helpers():
 
 def test_index_by_path_maps_every_path(kettle_model):
     mapping = ModelIndex(kettle_model).by_path
-    assert mapping[("Kettle",)] is kettle_model
+    assert mapping[("Kettle",)][0] is kettle_model
     assert len(mapping) == count_elements(kettle_model)
 
 

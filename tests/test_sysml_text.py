@@ -17,9 +17,9 @@ from ssm2sysml import (
     parse_sysml,
 )
 from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
-from ssm2sysml.sysml_ast import DEF_KINDS, FORMS, RelKind, iter_walk, package
+from ssm2sysml.sysml_ast import DEF_KINDS, FORMS, RelKind, iter_walk
 
-from model_gen import gen_expr, gen_model, kitchen_sink
+from model_gen import gen_expr, gen_model, kitchen_sink, package
 
 ROUND_TRIP_SEEDS = range(180)
 
