@@ -11,6 +11,23 @@ from ssm2sysml.exprs import Binary, Lit, Ref
 from ssm_gen import gen_context
 
 
+def _position(span):
+    return (span.start_line, span.start_col, span.end_line, span.end_col)
+
+
+def _parse_error(text: str) -> ParseError:
+    with pytest.raises(ParseError) as exc:
+        parse_ssm(text, "f.ssm")
+    return exc.value
+
+
+# Root-definition members that satisfy its required members, without the closing brace.
+_RD = (
+    'root-definition rd { customer a actor a owner a transformation "t" { subject s : S } '
+    'worldview "w"'
+)
+
+
 def test_golden_structure(case_ctx):
     assert case_ctx.name == "Context"
     assert [i.id for i in case_ctx.individuals] == ["manager", "it", "newHire"]
@@ -81,12 +98,12 @@ def test_duplicate_top_level_id_rejected():
 
 
 def test_missing_rd_members_lists_them():
-    text = "context C { root-definition rd { owner a ; } }"
-    with pytest.raises(ParseError) as exc:
-        parse_ssm(text)
-    message = str(exc.value)
-    for member in ("customer", "actor", "transformation", "worldview"):
-        assert member in message
+    error = _parse_error("context C { root-definition rd { owner a ; } }")
+    assert error.message == (
+        "root definition 'rd' is missing: customer, actor, transformation, worldview"
+    )
+    assert error.expected == ("customer", "actor", "transformation", "worldview")
+    assert _position(error.span) == (1, 44, 1, 45)  # the closing brace
 
 
 def test_bad_constraint_expression_is_respanned():
@@ -98,6 +115,7 @@ def test_bad_constraint_expression_is_respanned():
     with pytest.raises(ParseError) as exc:
         parse_ssm(text)
     assert "bad constraint expression" in exc.value.message
+    assert _position(exc.value.span) == (1, 166, 1, 171)  # the expression string
 
 
 def test_unexpected_token_reports_expectations():
@@ -150,3 +168,132 @@ def test_fuzz_near_grammar(text):
         parse_ssm(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text, expected, position",
+    [
+        (
+            "context C {\n  widget\n}",
+            ("individual", "root-definition", "conceptual-model", "'}'"),
+            (2, 3, 2, 9),
+        ),
+        (
+            f"context C {{\n  {_RD} widget }}\n}}",
+            (
+                "customer",
+                "actor",
+                "owner",
+                "transformation",
+                "worldview",
+                "environmental-constraint",
+                "'}'",
+            ),
+            (2, 102, 2, 108),
+        ),
+        (
+            'context C { root-definition rd { transformation "t" {\n  widget } } }',
+            ("subject", "input", "output", "'}'"),
+            (2, 3, 2, 9),
+        ),
+        (
+            "context C { conceptual-model rd {\n  widget } }",
+            ("activity", "flow", "monitor", "'}'"),
+            (2, 3, 2, 9),
+        ),
+    ],
+    ids=["context", "root-definition", "transformation", "conceptual-model"],
+)
+def test_unknown_statement_in_each_block(text, expected, position):
+    error = _parse_error(text)
+    assert error.message == f"expected {', '.join(expected)}, found 'widget'"
+    assert error.expected == expected
+    assert error.found == "widget"
+    assert _position(error.span) == position
+
+
+def test_transformation_without_subject():
+    error = _parse_error(
+        'context C { root-definition rd { transformation "t" { input x : X } } }'
+    )
+    assert error.message == "transformation block lacks a subject"
+    assert error.expected == ("subject",)
+    assert _position(error.span) == (1, 67, 1, 68)
+
+
+@pytest.mark.parametrize(
+    "text, name, first, position",
+    [
+        (
+            'context C {\n individual a : P "A"\n individual a : Q "B" widget }',
+            "a",
+            "f.ssm:2:2",
+            (3, 2, 3, 22),
+        ),
+        (f"context C {{\n {_RD} }}\n {_RD} }} widget }}", "rd", "f.ssm:2:18", (3, 18, 3, 20)),
+    ],
+    ids=["individual", "root-definition"],
+)
+def test_duplicate_top_level_id_is_reported_first(text, name, first, position):
+    error = _parse_error(text)  # before the unknown `widget` after it
+    assert error.message == f"duplicate top-level id {name!r} (first declared at {first})"
+    assert error.found == name
+    assert _position(error.span) == position
+
+
+def test_case_study_record_positions(case_ctx):
+    (rd,) = case_ctx.root_definitions
+    (cm,) = case_ctx.conceptual_models
+    ec1, ec2 = rd.environmental_constraints
+    positions = {
+        "context": [case_ctx],
+        "individual": case_ctx.individuals,
+        "root definition": [rd],
+        "transformation": [rd.transformation],
+        "environmental constraint": [ec1, ec2],
+        "conceptual model": [cm],
+        "activity": cm.activities,
+        "flow": cm.flows,
+        "monitor": cm.monitors,
+        "IdRef": [
+            *rd.customers,
+            *rd.actors,
+            rd.owner,
+            ec2.refines,
+            cm.root_definition_id,
+            cm.activities[0].performed_by,
+            cm.flows[0].source,
+            cm.flows[0].target,
+            *cm.monitors[0].controls,
+        ],
+    }
+    assert {kind: [_position(r.span) for r in records] for kind, records in positions.items()} == {
+        "context": [(3, 1, 34, 2)],
+        "individual": [(4, 5, 4, 47), (5, 5, 5, 45), (6, 5, 6, 45)],
+        "root definition": [(8, 5, 20, 6)],
+        "transformation": [(12, 9, 16, 10)],
+        "environmental constraint": [(18, 9, 18, 157), (19, 9, 19, 160)],
+        "conceptual model": [(22, 5, 33, 6)],
+        "activity": [
+            (23, 9, 23, 56),
+            (24, 9, 24, 52),
+            (25, 9, 25, 55),
+            (26, 9, 26, 43),
+            (27, 9, 27, 54),
+        ],
+        "flow": [(28, 9, 28, 22), (29, 9, 29, 22), (30, 9, 30, 22), (31, 9, 31, 22)],
+        "monitor": [(32, 9, 32, 58)],
+        "IdRef": [
+            (9, 18, 9, 25),
+            (10, 15, 10, 17),
+            (10, 18, 10, 25),
+            (11, 15, 11, 17),
+            (19, 157, 19, 160),
+            (22, 22, 22, 35),
+            (23, 49, 23, 56),
+            (28, 14, 28, 16),
+            (28, 20, 28, 22),
+            (32, 52, 32, 54),
+            (32, 56, 32, 58),
+        ],
+    }
