@@ -28,15 +28,5 @@ class SourceSpan:
             file, first, start - lines[first - 1] + 1, last, end - lines[last - 1] + 1
         )
 
-    def to(self, other: "SourceSpan") -> "SourceSpan":
-        """Smallest span covering both self and other (same file)."""
-        return SourceSpan(
-            self.file,
-            self.start_line,
-            self.start_col,
-            other.end_line,
-            other.end_col,
-        )
-
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"

@@ -23,14 +23,22 @@ The format is block structured and line oriented::
         }
     }
 
-`#` starts a line comment.  Semicolons between block members are
-optional on input; the formatter always writes them.
+`#` starts a line comment.  Any number of `;` may follow any member,
+blocks included; the formatter writes one after each statement inside a
+root definition or a conceptual model.
+
+Each of the four blocks has a statement table, in the order its errors
+list them, from keyword to the function that parses the rest of the
+statement; one loop, `_block`, reads any of them.  Each record's span
+runs from its first token through its last.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import ParseError
-from .exprs import Expr, expr_to_text, parse_expr_text
-from .lexing import CONSTRAINT_DEPTH, EOF, IDENT, STRING, Token, TokenStream, lex, quote
+from .exprs import expr_to_text, parse_expr_text
+from .lexing import CONSTRAINT_DEPTH, EOF, IDENT, PUNCTUATION, STRING, Token, TokenStream, lex, quote
 from .source import SourceSpan
 from .ssm_model import (
     Activity,
@@ -55,324 +63,248 @@ def parse_ssm(source: str, file_name: str = "<ssm>") -> SsmContext:
     them.  Duplicate top-level ids are a parse-level error.
     """
     ts = TokenStream(lex(source, file_name, "ssm"))
-    ctx = _parse_context(ts, file_name)
-    ts.expect_kind(EOF, "end of input")
-    return ctx
-
-
-def _ident(ts: TokenStream, what: str) -> Token:
-    return ts.expect_kind(IDENT, what)
-
-
-def _string(ts: TokenStream, what: str) -> Token:
-    return ts.expect_kind(STRING, what)
-
-
-def _hyphenated(ts: TokenStream, first: str, second: str) -> bool:
-    """True if the stream sits on e.g. `root - definition` (lexed as 3 tokens)."""
-    return (
-        ts.at(first)
-        and ts.peek(1).kind == "punct"
-        and ts.peek(1).value == "-"
-        and ts.peek(2).kind == IDENT
-        and ts.peek(2).value == second
-    )
-
-
-def _take_hyphenated(ts: TokenStream) -> Token:
-    start = ts.take()
-    ts.take()
-    ts.take()
-    return start
-
-
-def _skip_semi(ts: TokenStream) -> None:
-    while ts.at(";"):
-        ts.take()
-
-
-def _parse_context(ts: TokenStream, file_name: str) -> SsmContext:
-    start = ts.expect("context").span
-    name = _ident(ts, "context name").value
+    first = ts.expect("context")
+    name = ts.expect_kind(IDENT, "context name").value
     ts.expect("{")
-
-    individuals: list[Individual] = []
-    root_definitions: list[RootDefinition] = []
-    conceptual_models: list[ConceptualModel] = []
-    top_ids: dict[str, SourceSpan] = {}
-
-    def claim(name: str, span: SourceSpan) -> None:
-        if name in top_ids:
-            raise ParseError(
-                span,
-                f"duplicate top-level id {name!r} (first declared at {top_ids[name]})",
-                found=name,
-            )
-        top_ids[name] = span
-
-    while not ts.at("}"):
-        if ts.at("individual"):
-            ind = _parse_individual(ts)
-            claim(ind.id, ind.span)
-            individuals.append(ind)
-        elif _hyphenated(ts, "root", "definition"):
-            rd, id_tok = _parse_root_definition(ts)
-            claim(id_tok.value, id_tok.span)
-            root_definitions.append(rd)
-        elif _hyphenated(ts, "conceptual", "model"):
-            conceptual_models.append(_parse_conceptual_model(ts))
-        else:
-            raise ts.error(
-                ("individual", "root-definition", "conceptual-model", "'}'")
-            )
-    end = ts.take().span
+    members, end = _block(ts, _CONTEXT)
+    ts.expect_kind(EOF, "end of input")
     return SsmContext(
         name=name,
         file=file_name,
-        individuals=tuple(individuals),
-        root_definitions=tuple(root_definitions),
-        conceptual_models=tuple(conceptual_models),
-        span=start.to(end),
+        individuals=tuple(members["individual"]),
+        root_definitions=tuple(members["root-definition"]),
+        conceptual_models=tuple(members["conceptual-model"]),
+        span=first.through(end),
     )
 
 
-def _parse_individual(ts: TokenStream) -> Individual:
-    start = ts.take().span
-    id_tok = _ident(ts, "individual id")
-    ts.expect(":")
-    def_type = _ident(ts, "definition type").value
-    name_tok = _string(ts, "display name string")
-    _skip_semi(ts)
-    return Individual(
-        id=id_tok.value,
-        display_name=name_tok.value,
-        definition_type=def_type,
-        span=start.to(name_tok.span),
-    )
+# Parses a statement after its keyword, whose first token it is given, with the
+# enclosing block's members so far; returns what the block keeps for the statement.
+_Statement = Callable[[TokenStream, Token, dict], object]
 
 
-def _idref(ts: TokenStream, what: str) -> IdRef:
-    tok = _ident(ts, what)
+def _block(ts: TokenStream, table: dict[str, _Statement]) -> tuple[dict, Token]:
+    """Parse the statements of `table` up to the block's `}`, and take it.
+
+    Returns each keyword's values in source order, and the `}`.  A
+    hyphenated keyword such as `root-definition`, lexed as three tokens,
+    is looked up as one word.  Any number of `;` may follow a statement.
+    """
+    members: dict = {keyword: [] for keyword in table}
+    while not ts.at("}"):
+        first = ts.current
+        keyword = ts.keyword()
+        if keyword not in table:
+            dash, second = ts.peek(1), ts.peek(2)
+            if dash.kind == PUNCTUATION and dash.value == "-" and second.kind == IDENT:
+                keyword = f"{keyword}-{second.value}"
+            if keyword not in table:
+                raise ts.error((*table, "'}'"))
+            ts.take()
+            ts.take()
+        ts.take()
+        members[keyword].append(table[keyword](ts, first, members))
+        while ts.at(";"):
+            ts.take()
+    return members, ts.take()
+
+
+def _idref(tok: Token) -> IdRef:
     return IdRef(tok.value, tok.span)
 
 
-def _parse_root_definition(ts: TokenStream) -> tuple[RootDefinition, Token]:
-    start = _take_hyphenated(ts).span
-    id_tok = _ident(ts, "root definition id")
-    ts.expect("{")
-
-    customers: list[IdRef] = []
-    actors: list[IdRef] = []
-    owner: IdRef | None = None
-    transformation: Transformation | None = None
-    worldview: str | None = None
-    constraints: list[EnvConstraint] = []
-
-    while not ts.at("}"):
-        if ts.at("customer"):
-            ts.take()
-            customers.append(_idref(ts, "customer id"))
-            while ts.current.kind == IDENT and not _at_rd_keyword(ts):
-                customers.append(_idref(ts, "customer id"))
-        elif ts.at("actor"):
-            ts.take()
-            actors.append(_idref(ts, "actor id"))
-            while ts.current.kind == IDENT and not _at_rd_keyword(ts):
-                actors.append(_idref(ts, "actor id"))
-        elif ts.at("owner"):
-            ts.take()
-            owner = _idref(ts, "owner id")
-        elif ts.at("transformation"):
-            transformation = _parse_transformation(ts)
-        elif ts.at("worldview"):
-            ts.take()
-            worldview = _string(ts, "worldview string").value
-        elif _hyphenated(ts, "environmental", "constraint"):
-            constraints.append(_parse_env_constraint(ts))
-        else:
-            raise ts.error(
-                (
-                    "customer",
-                    "actor",
-                    "owner",
-                    "transformation",
-                    "worldview",
-                    "environmental-constraint",
-                    "'}'",
-                )
-            )
-        _skip_semi(ts)
-
-    end = ts.take().span
-    missing = [
-        label
-        for label, value in (
-            ("customer", customers),
-            ("actor", actors),
-            ("owner", owner),
-            ("transformation", transformation),
-            ("worldview", worldview),
+def _claim(members: dict, name: str, span: SourceSpan) -> None:
+    """Record a top-level id of the context; a second declaration of it is an error."""
+    first = members.setdefault("top-level ids", {}).setdefault(name, span)
+    if first is not span:
+        raise ParseError(
+            span, f"duplicate top-level id {name!r} (first declared at {first})", found=name
         )
-        if not value
+
+
+def _individual(ts: TokenStream, first: Token, members: dict) -> Individual:
+    id_tok = ts.expect_kind(IDENT, "individual id")
+    ts.expect(":")
+    def_type = ts.expect_kind(IDENT, "definition type").value
+    name_tok = ts.expect_kind(STRING, "display name string")
+    individual = Individual(
+        id=id_tok.value,
+        display_name=name_tok.value,
+        definition_type=def_type,
+        span=first.through(name_tok),
+    )
+    _claim(members, individual.id, individual.span)
+    return individual
+
+
+def _root_definition(ts: TokenStream, first: Token, members: dict) -> RootDefinition:
+    id_tok = ts.expect_kind(IDENT, "root definition id")
+    ts.expect("{")
+    parts, end = _block(ts, _ROOT_DEFINITION)
+    # Every member but the constraints is required; an empty worldview counts as none.
+    missing = [
+        keyword
+        for keyword, values in parts.items()
+        if keyword != "environmental-constraint" and not (values and values[-1])
     ]
     if missing:
         raise ParseError(
-            end,
+            end.span,
             f"root definition {id_tok.value!r} is missing: {', '.join(missing)}",
             expected=tuple(missing),
         )
-    assert owner is not None and transformation is not None and worldview is not None
-    rd = RootDefinition(
+    _claim(members, id_tok.value, id_tok.span)
+    return RootDefinition(
         id=id_tok.value,
-        customers=tuple(customers),
-        actors=tuple(actors),
-        owner=owner,
-        transformation=transformation,
-        worldview=worldview,
-        environmental_constraints=tuple(constraints),
-        span=start.to(end),
+        customers=tuple(ref for refs in parts["customer"] for ref in refs),
+        actors=tuple(ref for refs in parts["actor"] for ref in refs),
+        owner=parts["owner"][-1],
+        transformation=parts["transformation"][-1],
+        worldview=parts["worldview"][-1],
+        environmental_constraints=tuple(parts["environmental-constraint"]),
+        span=first.through(end),
     )
-    return rd, id_tok
 
 
-_RD_KEYWORDS = {
-    "customer",
-    "actor",
-    "owner",
-    "transformation",
-    "worldview",
-    "environmental",
-}
+def _idrefs(ts: TokenStream, first: Token, members: dict) -> list[IdRef]:
+    """A customer or actor list: ids up to the first word of the next statement."""
+    refs = [_idref(ts.expect_kind(IDENT, f"{first.value} id"))]
+    while ts.current.kind == IDENT and ts.current.value not in _RD_WORDS:
+        refs.append(_idref(ts.take()))
+    return refs
 
 
-def _at_rd_keyword(ts: TokenStream) -> bool:
-    return ts.current.kind == IDENT and ts.current.value in _RD_KEYWORDS
+def _owner(ts: TokenStream, first: Token, members: dict) -> IdRef:
+    return _idref(ts.expect_kind(IDENT, "owner id"))
 
 
-def _parse_transformation(ts: TokenStream) -> Transformation:
-    start = ts.take().span
-    statement = _string(ts, "transformation statement string").value
+def _worldview(ts: TokenStream, first: Token, members: dict) -> str:
+    return ts.expect_kind(STRING, "worldview string").value
+
+
+def _transformation(ts: TokenStream, first: Token, members: dict) -> Transformation:
+    statement = ts.expect_kind(STRING, "transformation statement string").value
     ts.expect("{")
-    subject: tuple[str, str] | None = None
-    inputs: list[tuple[str, str]] = []
-    outputs: list[tuple[str, str]] = []
-    while not ts.at("}"):
-        if ts.at("subject"):
-            ts.take()
-            name = _ident(ts, "subject name").value
-            ts.expect(":")
-            subject = (name, _ident(ts, "subject type").value)
-        elif ts.at("input") or ts.at("output"):
-            bucket = inputs if ts.take().value == "input" else outputs
-            name = _ident(ts, "parameter name").value
-            ts.expect(":")
-            bucket.append((name, _ident(ts, "parameter type").value))
-        else:
-            raise ts.error(("subject", "input", "output", "'}'"))
-        _skip_semi(ts)
-    end = ts.take().span
-    if subject is None:
-        raise ParseError(end, "transformation block lacks a subject", expected=("subject",))
+    parts, end = _block(ts, _TRANSFORMATION)
+    if not parts["subject"]:
+        raise ParseError(end.span, "transformation block lacks a subject", expected=("subject",))
+    subject_name, subject_type = parts["subject"][-1]
     return Transformation(
         statement=statement,
-        subject_name=subject[0],
-        subject_type=subject[1],
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        span=start.to(end),
+        subject_name=subject_name,
+        subject_type=subject_type,
+        inputs=tuple(parts["input"]),
+        outputs=tuple(parts["output"]),
+        span=first.through(end),
     )
 
 
-def _parse_env_constraint(ts: TokenStream) -> EnvConstraint:
-    start = _take_hyphenated(ts).span
-    id_tok = _ident(ts, "constraint id")
-    text_tok = _string(ts, "constraint text string")
-    end = text_tok.span
+def _parameter(ts: TokenStream, first: Token, members: dict) -> tuple[str, str]:
+    """A subject, input or output: its name and type."""
+    what = "subject" if first.value == "subject" else "parameter"
+    name = ts.expect_kind(IDENT, f"{what} name").value
+    ts.expect(":")
+    return name, ts.expect_kind(IDENT, f"{what} type").value
 
+
+def _env_constraint(ts: TokenStream, first: Token, members: dict) -> EnvConstraint:
+    id_tok = ts.expect_kind(IDENT, "constraint id")
+    last = ts.expect_kind(STRING, "constraint text string")
+    text = last.value
     kind = "require"
-    expr: Expr | None = None
-    refines: IdRef | None = None
+    expr = refines = None
     while True:
         if ts.current.kind == IDENT and ts.current.value in _CONSTRAINT_KINDS:
             kind = ts.take().value
-            expr_tok = _string(ts, "constraint expression string")
+            last = ts.expect_kind(STRING, "constraint expression string")
             try:
-                expr = parse_expr_text(expr_tok.value, expr_tok.span.file, CONSTRAINT_DEPTH)
+                expr = parse_expr_text(last.value, last.file, CONSTRAINT_DEPTH)
             except ParseError as exc:
                 raise ParseError(
-                    expr_tok.span,
+                    last.span,
                     f"bad constraint expression: {exc.message}",
                     expected=exc.expected,
                     found=exc.found,
                 ) from exc
-            end = expr_tok.span
         elif ts.at("refines"):
             ts.take()
-            refines = _idref(ts, "refined constraint id")
-            end = refines.span or end
+            last = ts.expect_kind(IDENT, "refined constraint id")
+            refines = _idref(last)
         else:
             break
     return EnvConstraint(
         id=id_tok.value,
-        text=text_tok.value,
+        text=text,
         expr=expr,
         kind=kind,
         refines=refines,
-        span=start.to(end),
+        span=first.through(last),
     )
 
 
-def _parse_conceptual_model(ts: TokenStream) -> ConceptualModel:
-    start = _take_hyphenated(ts).span
-    rd_ref = _idref(ts, "root definition id")
+def _conceptual_model(ts: TokenStream, first: Token, members: dict) -> ConceptualModel:
+    rd_ref = _idref(ts.expect_kind(IDENT, "root definition id"))
     ts.expect("{")
-    activities: list[Activity] = []
-    flows: list[Flow] = []
-    monitors: list[MonitorLink] = []
-    while not ts.at("}"):
-        if ts.at("activity"):
-            a_start = ts.take().span
-            id_tok = _ident(ts, "activity id")
-            label = _string(ts, "activity label string").value
-            ts.expect("by")
-            performer = _idref(ts, "performer id")
-            activities.append(
-                Activity(id_tok.value, label, performer, a_start.to(performer.span or a_start))
-            )
-        elif ts.at("flow"):
-            f_start = ts.take().span
-            source = _idref(ts, "flow source activity id")
-            ts.expect("->")
-            target = _idref(ts, "flow target activity id")
-            flows.append(Flow(source, target, f_start.to(target.span or f_start)))
-        elif ts.at("monitor"):
-            m_start = ts.take().span
-            id_tok = _ident(ts, "monitor id")
-            label = _string(ts, "monitor label string").value
-            ts.expect("controls")
-            controls = [_idref(ts, "controlled activity id")]
-            while ts.at(","):
-                ts.take()
-                controls.append(_idref(ts, "controlled activity id"))
-            monitors.append(
-                MonitorLink(
-                    id_tok.value,
-                    label,
-                    tuple(controls),
-                    m_start.to(controls[-1].span or m_start),
-                )
-            )
-        else:
-            raise ts.error(("activity", "flow", "monitor", "'}'"))
-        _skip_semi(ts)
-    end = ts.take().span
+    parts, end = _block(ts, _CONCEPTUAL_MODEL)
     return ConceptualModel(
         root_definition_id=rd_ref,
-        activities=tuple(activities),
-        flows=tuple(flows),
-        monitors=tuple(monitors),
-        span=start.to(end),
+        activities=tuple(parts["activity"]),
+        flows=tuple(parts["flow"]),
+        monitors=tuple(parts["monitor"]),
+        span=first.through(end),
     )
+
+
+def _activity(ts: TokenStream, first: Token, members: dict) -> Activity:
+    id_tok = ts.expect_kind(IDENT, "activity id")
+    label = ts.expect_kind(STRING, "activity label string").value
+    ts.expect("by")
+    performer = ts.expect_kind(IDENT, "performer id")
+    return Activity(id_tok.value, label, _idref(performer), first.through(performer))
+
+
+def _flow(ts: TokenStream, first: Token, members: dict) -> Flow:
+    source = ts.expect_kind(IDENT, "flow source activity id")
+    ts.expect("->")
+    target = ts.expect_kind(IDENT, "flow target activity id")
+    return Flow(_idref(source), _idref(target), first.through(target))
+
+
+def _monitor(ts: TokenStream, first: Token, members: dict) -> MonitorLink:
+    id_tok = ts.expect_kind(IDENT, "monitor id")
+    label = ts.expect_kind(STRING, "monitor label string").value
+    ts.expect("controls")
+    controls = [ts.expect_kind(IDENT, "controlled activity id")]
+    while ts.at(","):
+        ts.take()
+        controls.append(ts.expect_kind(IDENT, "controlled activity id"))
+    return MonitorLink(
+        id_tok.value, label, tuple(map(_idref, controls)), first.through(controls[-1])
+    )
+
+
+# The statement tables, each in the order its block's errors list the keywords.
+_CONTEXT: dict[str, _Statement] = {
+    "individual": _individual,
+    "root-definition": _root_definition,
+    "conceptual-model": _conceptual_model,
+}
+_ROOT_DEFINITION: dict[str, _Statement] = {
+    "customer": _idrefs,
+    "actor": _idrefs,
+    "owner": _owner,
+    "transformation": _transformation,
+    "worldview": _worldview,
+    "environmental-constraint": _env_constraint,
+}
+_TRANSFORMATION: dict[str, _Statement] = dict.fromkeys(("subject", "input", "output"), _parameter)
+_CONCEPTUAL_MODEL: dict[str, _Statement] = {
+    "activity": _activity,
+    "flow": _flow,
+    "monitor": _monitor,
+}
+# A customer or actor list ends at an identifier that starts a root-definition keyword.
+_RD_WORDS = frozenset(keyword.split("-")[0] for keyword in _ROOT_DEFINITION)
 
 
 # ---------------------------------------------------------------------------

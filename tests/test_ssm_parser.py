@@ -1,12 +1,16 @@
 """Parsing and formatting of the `.ssm` surface syntax."""
 from __future__ import annotations
 
+import pathlib
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssm2sysml import ParseError, format_ssm, parse_ssm
 from ssm2sysml.exprs import Binary, Lit, Ref
+from ssm2sysml.ssm_parser import _CONCEPTUAL_MODEL, _CONTEXT, _ROOT_DEFINITION, _TRANSFORMATION
 
 from ssm_gen import gen_context
 
@@ -83,6 +87,14 @@ def test_semicolons_are_optional():
     )
     without = parse_ssm('context C { individual a : P "A" }', "b")
     assert with_semi == without
+
+
+def test_semicolons_may_follow_blocks():
+    text = (
+        f'context C {{ individual a : P "A" ; {_RD} }} ; ; '
+        'conceptual-model rd { activity x "X" by a ; } ; }'
+    )
+    assert parse_ssm(text) == parse_ssm(text.replace(" ;", ""))
 
 
 def test_line_comments_are_ignored():
@@ -297,3 +309,35 @@ def test_case_study_record_positions(case_ctx):
             (32, 56, 32, 58),
         ],
     }
+
+
+GRAMMAR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "GRAMMAR.md"
+
+
+def _member_keywords(production: str) -> list[str]:
+    """The keyword each alternative of a `.ssm` production starts with, in order.
+
+    An alternative that starts with a production's name starts with that
+    production's first terminal.
+    """
+    text = GRAMMAR.read_text()
+    section = text[text.index("## The `.ssm` notation") : text.index("## The SysML")]
+    rules = dict(re.findall(r"^([\w-]+) += (.*?) ;$", section, re.M | re.S))
+    keywords = []
+    for alternative in rules[production].split("|"):
+        first = alternative.split()[0]
+        keywords.append((first if first.startswith('"') else rules[first].split()[0]).strip('"'))
+    return keywords
+
+
+@pytest.mark.parametrize(
+    "production, table",
+    [
+        ("member", _CONTEXT),
+        ("rd-member", _ROOT_DEFINITION),
+        ("tr-member", _TRANSFORMATION),
+        ("cm-member", _CONCEPTUAL_MODEL),
+    ],
+)
+def test_grammar_member_lists_are_the_statement_tables(production, table):
+    assert _member_keywords(production) == list(table)
