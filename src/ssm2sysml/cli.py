@@ -1,8 +1,8 @@
 """Command-line front end: compile, check, trace, view, explain.
 
 Exit codes: 0 = success/conformant, 1 = error-severity diagnostics,
-2 = parse/IO/usage error or an internal error, which is reported in one
-line.  The code reflects the worst outcome across all inputs.  Outputs
+2 = parse/IO/usage error, a closed stdout, or an internal error, which
+is reported in one line.  The code reflects the worst outcome across all inputs.  Outputs
 are deterministic: no timestamps, stable ordering.  Each subcommand
 imports only the modules it runs, because every call is a fresh process
 that would otherwise load the whole package.
@@ -234,7 +234,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: an I/O fault.  What is still buffered
+        # goes to devnull, so the interpreter's last flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return FAULT
     except Exception as exc:  # a defect, reported in one line rather than a traceback
         print(
             f"ssm2sysml: internal error in {args.command}: {type(exc).__name__}: {exc}",

@@ -455,6 +455,33 @@ def test_an_unexpected_exception_is_one_line_and_exit_2(compiled, capsys, monkey
     assert capsys.readouterr() == ("", "ssm2sysml: internal error in check: RuntimeError: boom\n")
 
 
+def test_a_closed_stdout_is_a_fault_not_an_internal_error(
+    compiled, tmp_path, capsys, monkeypatch
+):
+    class ClosedPipe:
+        """A stdout whose reader has gone, on the descriptor of a file of the test's own."""
+
+        def __init__(self, stand_in):
+            self.stand_in = stand_in
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.stand_in.fileno()
+
+    capsys.readouterr()
+    with open(tmp_path / "stdout", "w") as stand_in:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(stand_in))
+        code = main(["trace", str(compiled), "--from", "Context.resources", "--format", "json"])
+        assert (code, capsys.readouterr().err) == (2, "")
+        # Pointed at devnull, so the interpreter's last flush writes nowhere.
+        assert os.path.samestat(os.fstat(stand_in.fileno()), os.stat(os.devnull))
+
+
 def test_check_unknown_rule_exits_2(compiled, capsys):
     assert main(["check", "--rules", "R-BOGUS-1", str(compiled)]) == 2
     assert "R-BOGUS-1" in capsys.readouterr().err
