@@ -184,6 +184,8 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
     if el.kind is ElementKind.ACTION and el.flavor in ("send", "accept"):
         if el.signal is None:
             raise UnsupportedElement(f"{el.flavor} action lacks a signal name")
+        if el != Element(ElementKind.ACTION, flavor=el.flavor, signal=el.signal):
+            raise UnsupportedElement(f"a {el.flavor} action holds nothing but its signal name")
         lines.append(f"{pad}{el.flavor} {qname_to_text(el.signal)};")
         return
 

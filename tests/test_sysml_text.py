@@ -322,6 +322,19 @@ def test_emit_refuses_a_prefix_the_grammar_does_not_admit(element, field):
         emit(prefixed)
 
 
+@pytest.mark.parametrize("flavor", ["send", "accept"])
+@pytest.mark.parametrize(
+    "extra",
+    [{"children": (Element(ElementKind.PART, name="p"),)}, {"name": "n"}, {"doc": "d"}],
+    ids=["children", "name", "doc"],
+)
+def test_emit_refuses_what_a_signal_line_drops(flavor, extra):
+    action = Element(ElementKind.ACTION, flavor=flavor, signal=("s",))
+    assert parse_sysml(emit(package("P", action))) == package("P", action)
+    with pytest.raises(UnsupportedElement, match=f"^a {flavor} action holds nothing but"):
+        emit(package("P", replace(action, **extra)))
+
+
 GRAMMAR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "GRAMMAR.md"
 
 
