@@ -1,19 +1,24 @@
 """End-to-end CLI behavior: exit codes, output formats, determinism."""
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.metadata
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssm2sysml import Element, ElementKind, emit, parse_sysml
+from ssm2sysml import Element, ElementKind, emit, map_context, parse_ssm, parse_sysml
 from ssm2sysml.cli import main
 from ssm2sysml.exprs import Lit
 from ssm2sysml.lexing import CONSTRAINT_DEPTH, MAX_NESTING
@@ -595,6 +600,61 @@ def test_every_code_in_the_program_explains(capsys):
 
 def test_explain_unknown_rule(capsys):
     assert main(["explain", "R-NOPE-1"]) == 2
+
+
+# --- byte mutations ------------------------------------------------------------
+
+
+def _fixtures() -> dict[str, tuple[bytes, str, str]]:
+    """Each fixture's bytes, the trace source and the view to ask it for."""
+    case = (REPO / "data" / "case_study.ssm").read_text()
+    compiled = emit(map_context(parse_ssm(case, "case_study.ssm"))[0])
+    return {
+        "case_study.ssm": (case.encode(), "Context.resources", "License Allocation"),
+        "kettle.sysml": (Path(DATA_SYSML).read_bytes(), "Kettle.kettle", "noSuchView"),
+        "Context.sysml": (compiled.encode(), "Context.resources", "License Allocation"),
+    }
+
+
+FIXTURES = _fixtures()
+# Bytes that open, close or break a construct in either notation.
+SYNTAX_BYTES = b'{}()[];:,.-=>@#/*"\\\'\n\r\t\x00\xff'
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(FIXTURES)),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 1 << 16),
+            st.sampled_from(("delete", "insert", "replace")),
+            st.sampled_from(SYNTAX_BYTES) | st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_byte_mutated_inputs_exit_0_1_or_2(name, edits):
+    data, source, view = FIXTURES[name]
+    data = bytearray(data)
+    for at, op, byte in edits:
+        at %= len(data) + 1
+        data[at : at + (op != "insert")] = b"" if op == "delete" else bytes([byte])
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, name)
+        Path(path).write_bytes(data)
+        for args in (
+            ["compile", path, "--report", "-o", os.path.join(work, "out")],
+            ["check", path],
+            ["check", path, "--format", "json"],
+            ["trace", path, "--from", source, "--backward"],
+            ["view", path, view],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+            assert code in (0, 1, 2), args
+            assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
 
 
 # --- console script ------------------------------------------------------------
