@@ -2,10 +2,10 @@
 
 Exit codes: 0 = success/conformant, 1 = error-severity diagnostics,
 2 = parse/IO/usage error, a closed stdout, or an internal error, which
-is reported in one line.  The code reflects the worst outcome across all inputs.  Outputs
-are deterministic: no timestamps, stable ordering.  Each subcommand
-imports only the modules it runs, because every call is a fresh process
-that would otherwise load the whole package.
+is reported in one line.  The code reflects the worst outcome across all
+inputs.  Outputs are deterministic: no timestamps, stable ordering.
+Each subcommand imports only the modules it runs, because every call is
+a fresh process that would otherwise load the whole package.
 """
 from __future__ import annotations
 

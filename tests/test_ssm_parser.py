@@ -330,14 +330,14 @@ def _member_keywords(production: str) -> list[str]:
     return keywords
 
 
-@pytest.mark.parametrize(
-    "production, table",
-    [
-        ("member", _CONTEXT),
-        ("rd-member", _ROOT_DEFINITION),
-        ("tr-member", _TRANSFORMATION),
-        ("cm-member", _CONCEPTUAL_MODEL),
-    ],
-)
-def test_grammar_member_lists_are_the_statement_tables(production, table):
-    assert _member_keywords(production) == list(table)
+MEMBER_TABLES = {
+    "member": _CONTEXT,
+    "rd-member": _ROOT_DEFINITION,
+    "tr-member": _TRANSFORMATION,
+    "cm-member": _CONCEPTUAL_MODEL,
+}
+
+
+@pytest.mark.parametrize("production", list(MEMBER_TABLES))
+def test_grammar_member_lists_are_the_statement_tables(production):
+    assert _member_keywords(production) == list(MEMBER_TABLES[production])
