@@ -18,6 +18,7 @@ from ssm2sysml import (
     Individual,
     MappingError,
     MappingOptions,
+    MonitorLink,
     RootDefinition,
     SsmContext,
     Transformation,
@@ -251,6 +252,115 @@ def test_zero_constraint_objective_falls_back_to_env_def():
     )
     objective = next(c for c in uc.children if c.is_objective)
     assert objective.rels(RelKind.REFERENCES)[0].target == ("EnvironmentalConstraints",)
+
+
+def _every_section_ctx() -> SsmContext:
+    """Two root definitions that between them reach every section of the package."""
+    return SsmContext(
+        name="Shop",
+        individuals=(
+            Individual("ann", "Ann", "Person"),
+            Individual("bob", "Bob", "Person"),
+            Individual("cat", "Ann", "Robot"),  # shares ann's display name
+        ),
+        root_definitions=(
+            RootDefinition(
+                id="fix",
+                customers=(IdRef("ann"), IdRef("bob")),
+                actors=(IdRef("bob"), IdRef("cat")),
+                owner=IdRef("ann"),
+                transformation=Transformation(
+                    "fix the thing", "thing", "Gadget",
+                    inputs=(("spare", "Part"),), outputs=(("note", "Report"),),
+                ),
+                worldview="things should work",
+                environmental_constraints=(
+                    EnvConstraint("e1", "stays safe", Lit(True)),
+                    EnvConstraint("e2", "prose only", refines=IdRef("e1")),  # no expression
+                ),
+            ),
+            RootDefinition(  # no constraints and no conceptual model
+                id="ship",
+                customers=(IdRef("bob"),),
+                actors=(IdRef("cat"),),
+                owner=IdRef("bob"),
+                transformation=Transformation("ship the thing", "box", "Crate"),
+                worldview="things should arrive",
+            ),
+        ),
+        conceptual_models=(
+            ConceptualModel(
+                IdRef("fix"),
+                activities=(
+                    Activity("a1", "look", IdRef("bob")),
+                    Activity("a2", "mend", IdRef("cat")),
+                    Activity("a3", "sign", IdRef("ann")),
+                ),
+                flows=(Flow(IdRef("a1"), IdRef("a3")), Flow(IdRef("a1"), IdRef("a2"))),
+                monitors=(MonitorLink("m1", "watch", (IdRef("a1"), IdRef("a2"))),),
+            ),
+        ),
+    )
+
+
+def test_every_section_in_layout_and_report_order():
+    model, report = map_context(
+        _every_section_ctx(), MappingOptions(state_pattern=frozenset({"fix"}))
+    )
+    assert [c.name for c in model.children] == [
+        "CatwoeElement", "CATWOE", "Rationale",
+        "Person", "Robot", "ann", "bob", "cat",
+        "Gadget", "Crate", "Part", "Report", "gadget", "part", "report", "crate",
+        "EnvironmentalConstraints", "e1", "e2",
+        "OwnerConcern", "CustomerConcern",
+        "resources_fix", "customerConcern_fix", "resources_ship", "customerConcern_ship",
+        "ResourceAllocation", "licenseManagement_fix", "licenseManagement_ship",
+        "License Allocation fix", "License Allocation ship",
+        "CATWOE_Transformation", "Fix", "Ship",
+        "transformationSystem_fix", "transformationSystem_ship",
+    ]
+    provenance = [
+        ("Shop.ann", None),
+        ("Shop.bob", None),
+        ("Shop.cat", None),
+        ("Shop.e1", "Environment"),
+        ("Shop.e2", "Environment"),
+        ("Shop.transformationSystem_fix.fix", "Transformation"),
+        ("Shop.licenseManagement_fix", "Worldview"),
+        ("Shop.transformationSystem_fix.thing", None),
+        ("Shop.resources_fix.owner_ann", "Owner"),
+        ("Shop.customerConcern_fix.customer_ann", "Customer"),
+        ("Shop.customerConcern_fix.customer_bob", "Customer"),
+        ("Shop.transformationSystem_fix.fix.actor_bob", "Actor"),
+        ("Shop.transformationSystem_fix.fix.actor_cat", "Actor"),
+        ("Shop.transformationSystem_fix.fix.a1", None),
+        ("Shop.transformationSystem_fix.fix.a2", None),
+        ("Shop.transformationSystem_fix.fix.a3", None),
+        ("Shop.transformationSystem_fix.fix.m1", None),
+        ("Shop.transformationSystem_fix.fix.action@10", None),  # the send action
+        ("Shop.EnvironmentalConstraints", "Environment"),
+        ("Shop.transformationSystem_ship.ship", "Transformation"),
+        ("Shop.licenseManagement_ship", "Worldview"),
+        ("Shop.transformationSystem_ship.box", None),
+        ("Shop.resources_ship.owner_bob", "Owner"),
+        ("Shop.customerConcern_ship.customer_bob", "Customer"),
+        ("Shop.transformationSystem_ship.ship.actor_cat", "Actor"),
+    ]
+    warnings = [
+        ("W-DUPNAME", "Shop.cat", "individuals 'ann' and 'cat' share the display name 'Ann'"),
+        ("W-NOEXPR", "Shop.e2", "environmental constraint 'e2' has no expression; "
+         "a placeholder `true` constraint was emitted"),
+        ("W-NOCM", "Shop.transformationSystem_ship.ship", "root definition 'ship' has no "
+         "conceptual model; the use case body holds no activities"),
+    ]
+    nowhere = {"file": None, "line": None, "col": None}
+    assert report.to_json() == {
+        "provenance": [{"element": e, **nowhere, "role": r} for e, r in provenance],
+        "warnings": [
+            {"rule": rule, "severity": "warning", "element": e, **nowhere, "message": m}
+            for rule, e, m in warnings
+        ],
+    }
 
 
 def test_duplicate_display_names_warn():
