@@ -86,8 +86,12 @@ COMPILE_CODES: dict[str, Code] = {code.id: code for code in (
          "definition's use case, performed by one of the people it names."),
     Code("SSM-003", _E, "The flows of a conceptual model form no cycle.",
          "Activities are emitted as actions in flow order, which a cycle does not have."),
-    Code("SSM-004", _E, "Input and output names within one transformation are unique.",
-         "They become usages of one use case, whose member names must be unique."),
+    Code("SSM-004", _E, "Every id is declared once in its scope: individuals and root definitions "
+         "in the context; customers, actors and constraints in a root definition; input and output "
+         "names in a transformation; activities, and apart from them monitors, in a conceptual "
+         "model. A root definition has at most one conceptual model.",
+         "Each declaration becomes one member of the model, whose names must be unique; a repeated "
+         "one would be mapped twice or lost."),
     Code("SSM-005", _E, "Display names, definition types, worldviews, transformation statements "
          "and subjects, and constraint texts are non-empty.",
          "Each becomes a name, type, doc or rationale of the model; an empty one carries nothing."),

@@ -148,6 +148,12 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
         return ref.id in ids
 
     known = {ind.id for ind in ctx.individuals}
+    # The parser refuses a repeated top-level id; a context built in memory may hold one.
+    for top in _repeats((*ctx.individuals, *ctx.root_definitions)):
+        err("SSM-004", top.id, top.span, f"top-level id {top.id!r} is declared twice")
+    for cm in _repeats(ctx.conceptual_models, lambda cm: cm.root_definition_id.id):
+        err("SSM-004", f"cm:{cm.root_definition_id.id}", cm.span,
+            f"root definition {cm.root_definition_id.id!r} has a second conceptual model")
 
     for ind in ctx.individuals:
         if not ind.display_name:
@@ -171,17 +177,14 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
             err("SSM-005", path, tr.span or rd.span, f"transformation of {rd.id!r} has an empty statement")
         if not tr.subject_name or not tr.subject_type:
             err("SSM-005", path, tr.span or rd.span, f"transformation of {rd.id!r} lacks a subject")
-        seen: set[str] = set()
-        for name, _ in tr.inputs + tr.outputs:
-            if name in seen:
-                err(
-                    "SSM-004",
-                    path,
-                    tr.span or rd.span,
-                    f"transformation of {rd.id!r} declares input/output name {name!r} twice",
-                )
-            seen.add(name)
+        for name, _ in _repeats(tr.inputs + tr.outputs, lambda param: param[0]):
+            err("SSM-004", path, tr.span or rd.span,
+                f"transformation of {rd.id!r} declares input/output name {name!r} twice")
 
+        for what, records in (("customer", rd.customers), ("actor", rd.actors),
+                              ("environmental constraint", rd.environmental_constraints)):
+            for record in _repeats(records):
+                err("SSM-004", path, record.span or rd.span, f"root definition {rd.id!r} declares {what} {record.id!r} twice")
         ec_ids = {ec.id for ec in rd.environmental_constraints}
         for ec in rd.environmental_constraints:
             if not ec.text:
@@ -199,6 +202,11 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
                 f"conceptual model references unknown root definition {cm.root_definition_id.id!r}")
 
         act_ids = {a.id for a in cm.activities}
+        # Each kind apart: an activity and a monitor may share an id.
+        for what, records in (("activity", cm.activities), ("monitor", cm.monitors)):
+            for record in _repeats(records):
+                err("SSM-004", f"{cm_path}.{record.id}", record.span,
+                    f"conceptual model of {cm.root_definition_id.id!r} declares {what} {record.id!r} twice")
         performers: set[str] = set()
         if rd is not None:
             performers = {ref.id for ref in rd.actors} | {rd.owner.id}
@@ -235,6 +243,15 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
 
     diags.sort(key=Diagnostic.sort_key)
     return diags
+
+
+def _repeats(records, key=lambda record: record.id):
+    """Each record whose key an earlier record already has, in order."""
+    seen: set = set()
+    for record in records:
+        if key(record) in seen:
+            yield record
+        seen.add(key(record))
 
 
 def _find_cycle(cm: ConceptualModel) -> list[str] | None:

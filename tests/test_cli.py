@@ -117,6 +117,85 @@ def test_compile_invalid_context_exits_1(tmp_path, capsys):
     assert "SSM-001" in capsys.readouterr().err
 
 
+_ONE_OF_EACH = """context C {
+    individual it : Person "IT"
+    individual ann : Person "Ann"
+    root-definition r {
+        customer ann ;
+        actor it ;
+        owner it ;
+        transformation "t" { subject s : S ; } ;
+        worldview "w" ;
+        environmental-constraint e1 "one" ;
+    }
+    conceptual-model r {
+        activity a1 "one" by it ;
+        monitor m1 "watch" controls a1 ;
+    }
+}
+"""
+
+
+def test_an_activity_and_a_monitor_may_share_an_id(tmp_path, capsys):
+    text = _ONE_OF_EACH.replace("monitor m1", "monitor a1")
+    (tmp_path / "in.ssm").write_text(text)
+    assert main(["compile", str(tmp_path / "in.ssm"), "-o", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "old, new, where, message",
+    [
+        pytest.param(
+            "    }\n}\n",
+            '    }\n    conceptual-model r {\n        activity a2 "two" by it ;\n    }\n}\n',
+            "16:5",
+            "root definition 'r' has a second conceptual model",
+            id="context-conceptual-model",
+        ),
+        pytest.param(
+            "customer ann ;", "customer ann it ann ;", "5:25",
+            "root definition 'r' declares customer 'ann' twice",
+            id="root-definition-customer",
+        ),
+        pytest.param(
+            "actor it ;", "actor it ann it ;", "6:22",
+            "root definition 'r' declares actor 'it' twice",
+            id="root-definition-actor",
+        ),
+        pytest.param(
+            'environmental-constraint e1 "one" ;',
+            'environmental-constraint e1 "one" ;\n        environmental-constraint e1 "two" ;',
+            "11:9",
+            "root definition 'r' declares environmental constraint 'e1' twice",
+            id="root-definition-constraint",
+        ),
+        pytest.param(
+            'activity a1 "one" by it ;',
+            'activity a1 "one" by it ;\n        activity a1 "again" by it ;',
+            "14:9",
+            "conceptual model of 'r' declares activity 'a1' twice",
+            id="conceptual-model-activity",
+        ),
+        pytest.param(
+            'monitor m1 "watch" controls a1 ;',
+            'monitor m1 "watch" controls a1 ;\n        monitor m1 "again" controls a1 ;',
+            "15:9",
+            "conceptual model of 'r' declares monitor 'm1' twice",
+            id="conceptual-model-monitor",
+        ),
+    ],
+)
+def test_a_repeated_declaration_is_ssm_004(tmp_path, capsys, old, new, where, message):
+    assert _ONE_OF_EACH.count(old) == 1
+    source = tmp_path / "in.ssm"
+    source.write_text(_ONE_OF_EACH.replace(old, new))
+    assert main(["compile", str(source), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{source}:{where}: error[SSM-004] {message}"
+    ]
+    assert not (tmp_path / "o" / "C.sysml").exists()
+
+
 def test_compile_continues_after_failures(tmp_path, capsys):
     bad = tmp_path / "bad.ssm"
     bad.write_text("not even close")

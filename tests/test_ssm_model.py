@@ -13,9 +13,11 @@ from ssm2sysml import (
     Flow,
     IdRef,
     Individual,
+    MappingError,
     RootDefinition,
     SsmContext,
     Transformation,
+    map_context,
     validate_context,
 )
 from ssm2sysml.ssm_model import _find_cycle
@@ -161,6 +163,24 @@ def test_duplicate_io_name_is_ssm_004(case_ctx):
     diags = validate_context(bad)
     assert _codes(diags) == ["SSM-004"]
     assert "'tool'" in diags[0].message
+
+
+def test_repeated_top_level_id_built_in_memory_is_ssm_004(case_ctx):
+    """The parser refuses these; a context built in memory is checked by validation."""
+    first = case_ctx.individuals[0]
+    twin = replace(first, display_name="Twin")
+    rd_named_like_it = replace(_rd(case_ctx), id=first.id)
+    for bad, path in (
+        (replace(case_ctx, individuals=case_ctx.individuals + (twin,)), first.id),
+        (replace(case_ctx, root_definitions=case_ctx.root_definitions + (rd_named_like_it,)),
+         first.id),
+    ):
+        diags = [d for d in validate_context(bad) if d.rule_id == "SSM-004"]
+        assert [(d.element_path, d.message) for d in diags] == [
+            (path, f"top-level id {first.id!r} is declared twice")
+        ]
+    with pytest.raises(MappingError):
+        map_context(replace(case_ctx, individuals=case_ctx.individuals + (twin,)))
 
 
 def test_empty_worldview_is_ssm_005(case_ctx):
