@@ -10,14 +10,16 @@ part together with its subject.
 
 Mapping runs in two passes.  `_plan` allocates every member name the
 mapper writes (in the package, each transformation part, each use case
-and each concern) in one table keyed by (namespace, role, source id);
-the builders take every name and every reference from that table.
+and each concern) in one table keyed by (namespace, role, source id),
+and lists the package's slots, (role, source id), in emitted order: the
+one statement of the package's layout.  The building pass writes each
+slot with its role's builder, taking every name and every reference
+from the table, and reads the report's provenance from what it built.
 Collision rule: in each namespace the member written first keeps its
 name and later ones get `_2`, `_3`, ...  A nested namespace first
 reserves the names written inside it as references to elements outside
 it, so no member hides such a target; the package reserves `String`.
-A source id repeated within one root definition or conceptual model is
-mapped once, from its first declaration.
+`validate_context` refuses a repeated declaration (SSM-004).
 
 `map_context` is pure: equal inputs produce structurally equal packages
 and byte-identical emitted text.
@@ -35,6 +37,7 @@ from .ssm_model import (
     CatwoeRole,
     ConceptualModel,
     EnvConstraint,
+    Individual,
     RootDefinition,
     SsmContext,
     validate_context,
@@ -134,25 +137,20 @@ def _typed_attribute(name: str, type_name: str) -> Element:
     return Element(ElementKind.ATTRIBUTE, name=name, relationships=_typing(type_name))
 
 
-def scaffolding() -> tuple[Element, ...]:
-    """The metadata vocabulary every mapped package starts with."""
-    return (
-        Element(
-            ElementKind.ENUM_DEF,
-            name=CATWOE_ENUM,
-            enum_literals=tuple(role.label for role in CatwoeRole),
-        ),
-        Element(
-            ElementKind.METADATA_DEF,
-            name=CATWOE_DEF,
-            children=(_typed_attribute("element", CATWOE_ENUM),),
-        ),
-        Element(
-            ElementKind.METADATA_DEF,
-            name=RATIONALE_DEF,
-            children=(_typed_attribute("text", "String"),),
-        ),
-    )
+def _scaffold(wanted: str, name: str) -> Element:
+    """The scaffolding definition named `wanted` by its constant, written as `name`."""
+    kind, children = {
+        CATWOE_ENUM: (ElementKind.ENUM_DEF, ()),
+        CATWOE_DEF: (ElementKind.METADATA_DEF, (_typed_attribute("element", CATWOE_ENUM),)),
+        RATIONALE_DEF: (ElementKind.METADATA_DEF, (_typed_attribute("text", "String"),)),
+        ENVIRONMENT_DEF: (ElementKind.REQUIREMENT_DEF, (catwoe_tag(CatwoeRole.ENVIRONMENT),)),
+        OWNER_CONCERN_DEF: (ElementKind.CONCERN_DEF, ()),
+        CUSTOMER_CONCERN_DEF: (ElementKind.CONCERN_DEF, ()),
+        VIEWPOINT_DEF: (ElementKind.VIEWPOINT_DEF, (catwoe_tag(CatwoeRole.WORLDVIEW),)),
+        TRANSFORMATION_DEF: (ElementKind.USE_CASE_DEF, ()),
+    }[wanted]
+    literals = tuple(role.label for role in CatwoeRole) if wanted == CATWOE_ENUM else ()
+    return Element(kind, name=name, enum_literals=literals, children=children)
 
 
 def _typing(target: str) -> tuple[Relationship, ...]:
@@ -161,14 +159,6 @@ def _typing(target: str) -> tuple[Relationship, ...]:
 
 def _subsets(*path: str) -> tuple[Relationship, ...]:
     return (Relationship(RelKind.SUBSETS, tuple(path)),)
-
-
-def _first_by_id(items):
-    """The first item of each id, in order."""
-    first: dict = {}
-    for item in items:
-        first.setdefault(item.id, item)
-    return list(first.values())
 
 
 def individual_roles(ctx: SsmContext) -> dict[str, set[CatwoeRole]]:
@@ -186,11 +176,11 @@ def individual_roles(ctx: SsmContext) -> dict[str, set[CatwoeRole]]:
 
 
 def _concerns(rd: RootDefinition):
-    """(label, role, definition, individuals) of the owner's and customers' concerns."""
-    return (
-        ("owner", CatwoeRole.OWNER, OWNER_CONCERN_DEF, (rd.owner,)),
-        ("customer", CatwoeRole.CUSTOMER, CUSTOMER_CONCERN_DEF, rd.customers),
-    )
+    """The owner's and the customers' concerns: label -> (role, definition, individuals)."""
+    return {
+        "owner": (CatwoeRole.OWNER, OWNER_CONCERN_DEF, (rd.owner,)),
+        "customer": (CatwoeRole.CUSTOMER, CUSTOMER_CONCERN_DEF, rd.customers),
+    }
 
 
 def _type_kinds(ctx: SsmContext) -> dict[str, ElementKind]:
@@ -204,11 +194,6 @@ def _type_kinds(ctx: SsmContext) -> dict[str, ElementKind]:
     return kinds
 
 
-def _def_order(kinds: dict[str, ElementKind]) -> list[str]:
-    """Type definitions as written: part defs, then item defs, in first-use order."""
-    return sorted(kinds, key=lambda type_name: kinds[type_name] is ElementKind.ITEM_DEF)
-
-
 # ---------------------------------------------------------------------------
 # Planning pass: the name table
 
@@ -217,11 +202,14 @@ _TAGS = (CATWOE_ENUM, CATWOE_DEF)  # what a CATWOE tag refers to
 
 
 class _Names:
-    """Every member name, by (namespace, role, source id); unique per namespace."""
+    """Every member name, by (namespace, role, source id); unique per namespace.
+
+    `layout` lists the package's slots, (role, source id), as allocated."""
 
     def __init__(self) -> None:
         self.planned: dict[tuple, str] = {}
         self.taken: dict[tuple, set[str]] = {}
+        self.layout: list[tuple[str, object]] = []
 
     def reserve(self, names, ns: tuple = _PACKAGE) -> None:
         self.taken.setdefault(ns, set()).update(names)
@@ -237,6 +225,8 @@ class _Names:
                 name = f"{wanted}_{n}"
             taken.add(name)
             self.planned[slot] = name
+            if ns == _PACKAGE:
+                self.layout.append((role, key))
         return self.planned[slot]
 
     def __call__(self, role: str, key, ns: tuple = _PACKAGE) -> str:
@@ -260,7 +250,8 @@ def _plan(
         add("individual def", ind.definition_type, ind.definition_type)
     for ind in ctx.individuals:
         add("individual", ind.id, ind.id)
-    for type_name in _def_order(kinds):
+    # Part defs, then item defs, each in first-use order.
+    for type_name in sorted(kinds, key=lambda t: kinds[t] is ElementKind.ITEM_DEF):
         add("type", type_name, type_name)
     for type_name in kinds:
         add("usage", type_name, type_name[:1].lower() + type_name[1:])
@@ -317,7 +308,7 @@ def _plan(
         for mon in cm.monitors if cm is not None else ():
             add("monitor", mon.id, mon.id, ucase)
 
-        for label, _, _, refs in _concerns(rd):
+        for label, (_, _, refs) in _concerns(rd).items():
             concern = (f"{label} concern", rd.id)
             people = {names("individual", ref.id) for ref in refs}
             names.reserve({*_TAGS, names("part", rd.id), *people}, concern)
@@ -327,89 +318,55 @@ def _plan(
 
 
 # ---------------------------------------------------------------------------
-# Building pass: every name and reference is a table lookup
+# Building pass: one builder per slot role; every name and reference is a
+# table lookup
 
 
-def _individuals(ctx: SsmContext, name: _Names) -> tuple[list[Element], list[Element]]:
-    """Individual definitions (one per distinct type), and occurrences."""
-    types = (ind.definition_type for ind in ctx.individuals)
-    defs = dict.fromkeys(name("individual def", type_name) for type_name in types)
-    roles = individual_roles(ctx)
-    return [
-        Element(
-            ElementKind.INDIVIDUAL_DEF,
-            name=def_name,
-            children=(_typed_attribute("name", "String"),),
-        )
-        for def_name in defs
-    ], [
-        Element(
-            ElementKind.INDIVIDUAL,
-            name=name("individual", ind.id),
-            relationships=_typing(name("individual def", ind.definition_type)),
-            children=tuple(catwoe_tag(role) for role in sorted(roles.get(ind.id, ())))
-            + (
-                Element(
-                    ElementKind.ATTRIBUTE,
-                    relationships=(Relationship(RelKind.REDEFINES, ("name",)),),
-                    value=Lit(ind.display_name),
-                ),
-            ),
-            span=ind.span,
-        )
-        for ind in ctx.individuals
-    ]
+def _individual(ind: Individual, roles, name: _Names) -> Element:
+    """An individual occurrence, tagged with the roles it fills."""
+    display_name = Element(
+        ElementKind.ATTRIBUTE,
+        relationships=(Relationship(RelKind.REDEFINES, ("name",)),),
+        value=Lit(ind.display_name),
+    )
+    return Element(
+        ElementKind.INDIVIDUAL,
+        name=name("individual", ind.id),
+        relationships=_typing(name("individual def", ind.definition_type)),
+        children=tuple(catwoe_tag(role) for role in sorted(roles)) + (display_name,),
+        span=ind.span,
+    )
 
 
-def _types(
-    ctx: SsmContext,
-    kinds: dict[str, ElementKind],
-    name: _Names,
-    options: MappingOptions,
-) -> list[Element]:
-    """Subject/input/output type definitions, then one usage of each."""
-    transitions: dict[str, list[str]] = {}
-    for rd in ctx.root_definitions:
-        if rd.id in options.state_pattern:
-            transitions.setdefault(rd.transformation.subject_type, []).append(rd.id)
-    defs = []
-    for type_name in _def_order(kinds):
-        machine: tuple[Element, ...] = ()
-        if kinds[type_name] is ElementKind.PART_DEF and type_name in transitions:
-            # The subject's definition gets an idle->transformed state machine.
-            machine = (
-                Element(ElementKind.STATE, name="idle"),
-                Element(ElementKind.STATE, name="transformed"),
-            ) + tuple(
-                Element(
-                    ElementKind.TRANSITION,
-                    name=f"t_{rd_id}",
-                    source="idle",
-                    target="transformed",
-                    trigger=(f"{rd_id}Done",),
-                )
-                for rd_id in transitions[type_name]
+def _type_def(type_name: str, kind: ElementKind, rd_ids, name: _Names) -> Element:
+    """A subject/input/output type's definition.
+
+    The subject's part def of each root definition in `rd_ids` (those of
+    the state pattern) gets an idle->transformed state machine."""
+    machine: tuple[Element, ...] = ()
+    if kind is ElementKind.PART_DEF and rd_ids:
+        machine = (
+            Element(ElementKind.STATE, name="idle"),
+            Element(ElementKind.STATE, name="transformed"),
+        ) + tuple(
+            Element(
+                ElementKind.TRANSITION,
+                name=f"t_{rd_id}",
+                source="idle",
+                target="transformed",
+                trigger=(f"{rd_id}Done",),
             )
-        defs.append(
-            Element(kinds[type_name], name=name("type", type_name), children=machine)
+            for rd_id in rd_ids
         )
-    usages = [
-        Element(
-            ElementKind.PART if kind is ElementKind.PART_DEF else ElementKind.ITEM,
-            name=name("usage", type_name),
-            relationships=_typing(name("type", type_name)),
-        )
-        for type_name, kind in kinds.items()
-    ]
-    return defs + usages
+    return Element(kind, name=name("type", type_name), children=machine)
 
 
 # `lexing.CONSTRAINT_DEPTH` counts the package and requirement-def bodies
 # written around each constraint.
-def _ec_requirement(rd: RootDefinition, ec: EnvConstraint, name: _Names) -> Element:
+def _ec_requirement(rd_id: str, ec: EnvConstraint, name: _Names) -> Element:
     rels = _typing(name("scaffold", ENVIRONMENT_DEF))
     if ec.refines is not None:
-        rels += (Relationship(RelKind.REFINES, (name("ec", (rd.id, ec.refines.id)),)),)
+        rels += (Relationship(RelKind.REFINES, (name("ec", (rd_id, ec.refines.id)),)),)
     constraint = Element(
         ElementKind.CONSTRAINT,
         constraint_kind=ec.kind,
@@ -417,7 +374,7 @@ def _ec_requirement(rd: RootDefinition, ec: EnvConstraint, name: _Names) -> Elem
     )
     return Element(
         ElementKind.REQUIREMENT_DEF,
-        name=name("ec", (rd.id, ec.id)),
+        name=name("ec", (rd_id, ec.id)),
         relationships=rels,
         doc=ec.text,
         children=(constraint,),
@@ -425,11 +382,9 @@ def _ec_requirement(rd: RootDefinition, ec: EnvConstraint, name: _Names) -> Elem
     )
 
 
-def _concern(
-    rd: RootDefinition, group, name: _Names
-) -> tuple[Element, tuple[Element, ...]]:
-    """The concern of one of `_concerns(rd)`, and its stakeholders."""
-    label, role, def_name, refs = group
+def _concern(rd: RootDefinition, label: str, name: _Names) -> Element:
+    """The concern `label` of `_concerns(rd)`, with its stakeholders."""
+    role, def_name, refs = _concerns(rd)[label]
     concern, part = (f"{label} concern", rd.id), ("part", rd.id)
     subject = Element(
         ElementKind.SUBJECT,
@@ -443,30 +398,30 @@ def _concern(
             children=(catwoe_tag(role),),
             span=ref.span,
         )
-        for ref in _first_by_id(refs)
+        for ref in refs
     )
-    element = Element(
+    return Element(
         ElementKind.CONCERN,
-        name=name(concern[0], rd.id),
+        name=name(*concern),
         relationships=_typing(name("scaffold", def_name)),
         children=(subject,) + stakeholders,
         span=rd.span,
     )
-    return element, stakeholders
 
 
-def _use_case(
+def _part(
     rd: RootDefinition,
     cm: ConceptualModel | None,
     order: list[str],
     name: _Names,
     options: MappingOptions,
-) -> tuple[Element, tuple[Element, ...], tuple[Element, ...]]:
-    """The transformation as a use case, its actors and its actions.
+) -> Element:
+    """The part hosting the transformation's subject and, as a use case,
+    the transformation with its actors and its actions.
 
     Actions follow the topological flow order, then monitors."""
     tr = rd.transformation
-    ucase = ("use case", rd.id)
+    part, ucase = ("part", rd.id), ("use case", rd.id)
     actors = tuple(
         Element(
             ElementKind.ACTOR,
@@ -475,14 +430,13 @@ def _use_case(
             children=(catwoe_tag(CatwoeRole.ACTOR),),
             span=ref.span,
         )
-        for ref in _first_by_id(rd.actors)
+        for ref in rd.actors
     )
     # The objective references every environmental constraint: the root
     # definition does not single one out, so none is dropped.  With no
     # constraints at all it references the shared environment definition
     # so the use case still points at a requirement.
-    ecs = _first_by_id(rd.environmental_constraints)
-    targets = [name("ec", (rd.id, ec.id)) for ec in ecs]
+    targets = [name("ec", (rd.id, ec.id)) for ec in rd.environmental_constraints]
     objective = Element(
         ElementKind.REQUIREMENT,
         is_objective=True,
@@ -504,13 +458,12 @@ def _use_case(
         for item, type_name in params
     )
     subject = Element(
-        ElementKind.SUBJECT,
-        relationships=_subsets(name("subject", rd.id, ("part", rd.id))),
+        ElementKind.SUBJECT, relationships=_subsets(name("subject", rd.id, part))
     )
     actions: tuple[Element, ...] = ()
     successions: tuple[Succession, ...] = ()
     if cm is not None:
-        by_id = {act.id: act for act in _first_by_id(cm.activities)}
+        by_id = {act.id: act for act in cm.activities}
         action = {act_id: name("action", act_id, ucase) for act_id in order}
         actor_ids = {ref.id for ref in rd.actors}
         actions = tuple(
@@ -544,7 +497,7 @@ def _use_case(
                 ),
                 span=mon.span,
             )
-            for mon in _first_by_id(cm.monitors)
+            for mon in cm.monitors
         )
         position = {act_id: i for i, act_id in enumerate(order)}
         successions = tuple(
@@ -556,21 +509,29 @@ def _use_case(
     if rd.id in options.state_pattern:
         send = Element(ElementKind.ACTION, flavor="send", signal=(f"{rd.id}Done",))
         actions += (send,)
-    element = Element(
+    use_case = Element(
         ElementKind.USE_CASE,
-        name=name("use case", rd.id, ("part", rd.id)),
+        name=name("use case", rd.id, part),
         relationships=_typing(name("use case def", rd.id)),
         children=(subject,) + actors + (objective,) + ios + actions,
         successions=successions,
         doc=tr.statement,
         span=rd.span,
     )
-    return element, actors, actions
+    part_subject = Element(
+        ElementKind.PART,
+        name=name("subject", rd.id, part),
+        relationships=_typing(name("type", tr.subject_type)),
+        span=tr.span,
+    )
+    return Element(
+        ElementKind.PART, name=name(*part), children=(part_subject, use_case), span=rd.span
+    )
 
 
 def _topological_order(cm: ConceptualModel) -> list[str]:
     """Kahn's algorithm, always taking the earliest-declared ready activity."""
-    position = {act.id: i for i, act in enumerate(_first_by_id(cm.activities))}
+    position = {act.id: i for i, act in enumerate(cm.activities)}
     indegree = dict.fromkeys(position, 0)
     out_edges: dict[str, list[str]] = {act_id: [] for act_id in position}
     for flow in cm.flows:
@@ -612,141 +573,123 @@ def map_context(
     orders = {rd_id: _topological_order(cm) for rd_id, cm in models.items()}
     name = _plan(ctx, kinds, models, orders)
 
-    warnings: list[Diagnostic] = []
-    seen_display: dict[str, str] = {}
-    for ind in ctx.individuals:
-        if ind.display_name in seen_display:
-            warnings.append(COMPILE_CODES["W-DUPNAME"].at(
-                f"{ctx.name}.{name('individual', ind.id)}",
-                ind.span,
-                f"individuals {seen_display[ind.display_name]!r} and "
-                f"{ind.id!r} share the display name {ind.display_name!r}",
-            ))
-        else:
-            seen_display[ind.display_name] = ind.id
+    individuals = {ind.id: ind for ind in ctx.individuals}
+    roles = individual_roles(ctx)
+    rds = {rd.id: rd for rd in ctx.root_definitions}
+    ecs = {(rd.id, ec.id): ec for rd in rds.values() for ec in rd.environmental_constraints}
+    machines: dict[str, list[str]] = {}  # subject type -> state-pattern root definitions
+    for rd in rds.values():
+        if rd.id in options.state_pattern:
+            machines.setdefault(rd.transformation.subject_type, []).append(rd.id)
 
-    individual_defs, individuals = _individuals(ctx, name)
-    # (element, role) in report order; paths come from the finished model.
-    provenance: list[tuple[Element, CatwoeRole | None]] = [
-        (occurrence, None) for occurrence in individuals
-    ]
-    members = [*scaffolding(), *individual_defs, *individuals]
-    members += _types(ctx, kinds, name, options)
-    rds = ctx.root_definitions
-    env_def = Element(
-        ElementKind.REQUIREMENT_DEF,
-        name=name("scaffold", ENVIRONMENT_DEF),
-        children=(catwoe_tag(CatwoeRole.ENVIRONMENT),),
-    ) if rds else None
-    ec_defs: list[Element] = []
-    concerns: list[Element] = []
-    viewpoints: list[Element] = []
-    views: list[Element] = []
-    uc_defs: list[Element] = []
-    parts: list[Element] = []
-
-    for rd in rds:
-        cm = models.get(rd.id)
-        part_name = name("part", rd.id)
-        if cm is None:
-            warnings.append(COMPILE_CODES["W-NOCM"].at(
-                f"{ctx.name}.{part_name}.{name('use case', rd.id, ('part', rd.id))}",
-                rd.span,
-                f"root definition {rd.id!r} has no conceptual model; "
-                "the use case body holds no activities",
-            ))
-        for ec in _first_by_id(rd.environmental_constraints):
-            if ec.expr is None:
-                warnings.append(COMPILE_CODES["W-NOEXPR"].at(
-                    f"{ctx.name}.{name('ec', (rd.id, ec.id))}",
-                    ec.span,
-                    f"environmental constraint {ec.id!r} has no expression; "
-                    "a placeholder `true` constraint was emitted",
-                ))
-            ec_defs.append(_ec_requirement(rd, ec, name))
-            provenance.append((ec_defs[-1], CatwoeRole.ENVIRONMENT))
-        if not rd.environmental_constraints:
-            provenance.append((env_def, CatwoeRole.ENVIRONMENT))
-
-        stakeholders = []
-        for group in _concerns(rd):
-            concern, members_of = _concern(rd, group, name)
-            concerns.append(concern)
-            stakeholders += [(s, group[1]) for s in members_of]
-        viewpoint = Element(
+    builders = {
+        "scaffold": lambda wanted: _scaffold(wanted, name("scaffold", wanted)),
+        "individual def": lambda type_name: Element(
+            ElementKind.INDIVIDUAL_DEF,
+            name=name("individual def", type_name),
+            children=(_typed_attribute("name", "String"),),
+        ),
+        "individual": lambda ind_id: _individual(
+            individuals[ind_id], roles.get(ind_id, ()), name
+        ),
+        "type": lambda type_name: _type_def(
+            type_name, kinds[type_name], machines.get(type_name), name
+        ),
+        "usage": lambda type_name: Element(
+            ElementKind.PART if kinds[type_name] is ElementKind.PART_DEF else ElementKind.ITEM,
+            name=name("usage", type_name),
+            relationships=_typing(name("type", type_name)),
+        ),
+        "ec": lambda key: _ec_requirement(key[0], ecs[key], name),
+        "owner concern": lambda rd_id: _concern(rds[rd_id], "owner", name),
+        "customer concern": lambda rd_id: _concern(rds[rd_id], "customer", name),
+        "viewpoint": lambda rd_id: Element(
             ElementKind.VIEWPOINT,
-            name=name("viewpoint", rd.id),
+            name=name("viewpoint", rd_id),
             relationships=_typing(name("scaffold", VIEWPOINT_DEF))
-            + (Relationship(RelKind.FRAMES, (name("owner concern", rd.id),)),),
-            children=(rationale_tag(rd.worldview),),
-            span=rd.span,
-        )
-        viewpoints.append(viewpoint)
+            + (Relationship(RelKind.FRAMES, (name("owner concern", rd_id),)),),
+            children=(rationale_tag(rds[rd_id].worldview),),
+            span=rds[rd_id].span,
+        ),
         # Body deliberately left blank: the view exists to satisfy the
         # viewpoint; exposure and filtering are the modeller's choice.
-        views.append(Element(
+        "view": lambda rd_id: Element(
             ElementKind.VIEW,
-            name=name("view", rd.id),
-            relationships=(Relationship(RelKind.SATISFIES, (viewpoint.name,)),),
-        ))
-        uc_defs.append(Element(
+            name=name("view", rd_id),
+            relationships=(Relationship(RelKind.SATISFIES, (name("viewpoint", rd_id),)),),
+        ),
+        "use case def": lambda rd_id: Element(
             ElementKind.USE_CASE_DEF,
-            name=name("use case def", rd.id),
+            name=name("use case def", rd_id),
             relationships=_typing(name("scaffold", TRANSFORMATION_DEF)),
             children=(catwoe_tag(CatwoeRole.TRANSFORMATION),),
-        ))
-        subject = Element(
-            ElementKind.PART,
-            name=name("subject", rd.id, ("part", rd.id)),
-            relationships=_typing(name("type", rd.transformation.subject_type)),
-            span=rd.transformation.span,
-        )
-        ucase, actors, actions = _use_case(rd, cm, orders.get(rd.id, []), name, options)
-        parts.append(Element(
-            ElementKind.PART, name=part_name, children=(subject, ucase), span=rd.span
-        ))
-
-        provenance += [
-            (ucase, CatwoeRole.TRANSFORMATION),
-            (viewpoint, CatwoeRole.WORLDVIEW),
-            (subject, None),
-            *stakeholders,
-            *((actor, CatwoeRole.ACTOR) for actor in actors),
-            *((action, None) for action in actions),
-        ]
-
-    if rds:
-        members += [
-            env_def,
-            *ec_defs,
-            *(
-                Element(ElementKind.CONCERN_DEF, name=name("scaffold", def_name))
-                for def_name in (OWNER_CONCERN_DEF, CUSTOMER_CONCERN_DEF)
-            ),
-            *concerns,
-            Element(
-                ElementKind.VIEWPOINT_DEF,
-                name=name("scaffold", VIEWPOINT_DEF),
-                children=(catwoe_tag(CatwoeRole.WORLDVIEW),),
-            ),
-            *viewpoints,
-            *views,
-            Element(
-                ElementKind.USE_CASE_DEF, name=name("scaffold", TRANSFORMATION_DEF)
-            ),
-            *uc_defs,
-            *parts,
-        ]
-
-    model = Element(
-        ElementKind.PACKAGE, name=ctx.name, children=tuple(members), span=ctx.span
-    )
+        ),
+        "part": lambda rd_id: _part(
+            rds[rd_id], models.get(rd_id), orders.get(rd_id, []), name, options
+        ),
+    }
+    members = tuple(builders[role](key) for role, key in name.layout)
+    model = Element(ElementKind.PACKAGE, name=ctx.name, children=members, span=ctx.span)
     paths = {id(element): path for element, path in iter_walk(model)}  # shares no object
     report = MappingReport(
         tuple(
             ProvenanceEntry(qname_text(paths[id(element)]), element.span, role)
-            for element, role in provenance
+            for element, role in _provenance(ctx, dict(zip(name.layout, members)))
         ),
-        tuple(warnings),
+        tuple(_warnings(ctx, name, models)),
     )
     return model, report
+
+
+def _provenance(ctx: SsmContext, member: dict) -> list[tuple[Element, CatwoeRole | None]]:
+    """(element, role) in report order, read from the package's members by slot."""
+    entries: list[tuple[Element, CatwoeRole | None]] = [
+        (member["individual", ind.id], None) for ind in ctx.individuals
+    ]
+    for rd in ctx.root_definitions:
+        ecs = [member["ec", (rd.id, ec.id)] for ec in rd.environmental_constraints]
+        entries += [
+            (ec, CatwoeRole.ENVIRONMENT) for ec in ecs or [member["scaffold", ENVIRONMENT_DEF]]
+        ]
+        subject, ucase = member["part", rd.id].children
+        entries += [
+            (ucase, CatwoeRole.TRANSFORMATION),
+            (member["viewpoint", rd.id], CatwoeRole.WORLDVIEW),
+            (subject, None),
+        ]
+        for label, (role, _, _) in _concerns(rd).items():
+            concern = member[f"{label} concern", rd.id]
+            entries += [(c, role) for c in concern.children if c.kind is ElementKind.STAKEHOLDER]
+        entries += [(c, CatwoeRole.ACTOR) for c in ucase.children if c.kind is ElementKind.ACTOR]
+        entries += [(c, None) for c in ucase.children if c.kind is ElementKind.ACTION]
+    return entries
+
+
+def _warnings(ctx: SsmContext, name: _Names, models: dict[str, ConceptualModel]):
+    """The W-* warnings: shared display names, then each root definition's."""
+    first_with: dict[str, str] = {}
+    for ind in ctx.individuals:
+        first = first_with.setdefault(ind.display_name, ind.id)
+        if first != ind.id:
+            yield COMPILE_CODES["W-DUPNAME"].at(
+                f"{ctx.name}.{name('individual', ind.id)}",
+                ind.span,
+                f"individuals {first!r} and {ind.id!r} share the display name "
+                f"{ind.display_name!r}",
+            )
+    for rd in ctx.root_definitions:
+        if rd.id not in models:
+            yield COMPILE_CODES["W-NOCM"].at(
+                f"{ctx.name}.{name('part', rd.id)}.{name('use case', rd.id, ('part', rd.id))}",
+                rd.span,
+                f"root definition {rd.id!r} has no conceptual model; "
+                "the use case body holds no activities",
+            )
+        for ec in rd.environmental_constraints:
+            if ec.expr is None:
+                yield COMPILE_CODES["W-NOEXPR"].at(
+                    f"{ctx.name}.{name('ec', (rd.id, ec.id))}",
+                    ec.span,
+                    f"environmental constraint {ec.id!r} has no expression; "
+                    "a placeholder `true` constraint was emitted",
+                )
