@@ -141,11 +141,11 @@ def _root_definition(ts: TokenStream, first: Token, members: dict) -> RootDefini
     id_tok = ts.expect_kind(IDENT, "root definition id")
     ts.expect("{")
     parts, end = _block(ts, _ROOT_DEFINITION)
-    # Every member but the constraints is required; an empty worldview counts as none.
+    # Every member but the constraints is required.
     missing = [
         keyword
         for keyword, values in parts.items()
-        if keyword != "environmental-constraint" and not (values and values[-1])
+        if keyword != "environmental-constraint" and not values
     ]
     if missing:
         raise ParseError(
@@ -325,8 +325,13 @@ def format_ssm(ctx: SsmContext) -> str:
     for rd in ctx.root_definitions:
         out.append(f"{ind}root-definition {rd.id} {{")
         body = ind * 2
-        out.append(f"{body}customer " + " ".join(c.id for c in rd.customers) + " ;")
-        out.append(f"{body}actor " + " ".join(a.id for a in rd.actors) + " ;")
+        for keyword, refs in (("customer", rd.customers), ("actor", rd.actors)):
+            # A later id that would end the list (see `_RD_WORDS`) starts a new statement.
+            ids = (
+                f";\n{body}{keyword} {ref.id}" if i and ref.id in _RD_WORDS else ref.id
+                for i, ref in enumerate(refs)
+            )
+            out.append(f"{body}{keyword} " + " ".join(ids) + " ;")
         out.append(f"{body}owner {rd.owner.id} ;")
         tr = rd.transformation
         out.append(f"{body}transformation {quote(tr.statement)} {{")

@@ -117,6 +117,21 @@ def test_compile_invalid_context_exits_1(tmp_path, capsys):
     assert "SSM-001" in capsys.readouterr().err
 
 
+def test_compile_of_an_empty_worldview_is_ssm_005(tmp_path, capsys):
+    text = Path(DATA_SSM).read_text()
+    old = (
+        'worldview "Appropriate access should be given to new hires and license availability '
+        'recorded"'
+    )
+    assert text.count(old) == 1
+    source = tmp_path / "in.ssm"
+    source.write_text(text.replace(old, 'worldview ""'))
+    assert main(["compile", str(source), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{source}:8:5: error[SSM-005] root definition 'assignLicense' has an empty worldview"
+    ]
+
+
 _ONE_OF_EACH = """context C {
     individual it : Person "IT"
     individual ann : Person "Ann"

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import pathlib
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssm2sysml import ParseError, format_ssm, parse_ssm
+from ssm2sysml import IdRef, Individual, ParseError, format_ssm, parse_ssm
 from ssm2sysml.exprs import Binary, Lit, Ref
 from ssm2sysml.ssm_parser import _CONCEPTUAL_MODEL, _CONTEXT, _ROOT_DEFINITION, _TRANSFORMATION
 
@@ -68,6 +69,44 @@ def test_golden_round_trip(case_ctx):
     text = format_ssm(case_ctx)
     assert parse_ssm(text, "rt") == case_ctx
     assert format_ssm(parse_ssm(text, "rt")) == text  # canonical form is a fixpoint
+
+
+def test_an_empty_worldview_round_trips(case_ctx):
+    rd = replace(case_ctx.root_definitions[0], worldview="")
+    ctx = replace(case_ctx, root_definitions=(rd,))
+    assert parse_ssm(format_ssm(ctx), "rt") == ctx
+
+
+# Ids that start a root-definition keyword; a customer or actor list ends at one.
+_STATEMENT_WORDS = ("customer", "actor", "owner", "transformation", "worldview", "environmental")
+
+
+@pytest.mark.parametrize("word", _STATEMENT_WORDS)
+def test_a_listed_id_that_starts_a_statement_round_trips(case_ctx, word):
+    rd = case_ctx.root_definitions[0]
+    rd = replace(
+        rd,
+        customers=rd.customers + (IdRef(word), IdRef("newHire")),
+        actors=(IdRef("it"), IdRef(word), IdRef(word + "2"), IdRef("manager")),
+    )
+    ctx = replace(
+        case_ctx,
+        individuals=case_ctx.individuals
+        + (Individual(word, "W", "Employee"), Individual(word + "2", "W2", "Employee")),
+        root_definitions=(rd,),
+    )
+    text = format_ssm(ctx)
+    assert f"        customer manager ;\n        customer {word} newHire ;\n" in text
+    assert f"        actor it ;\n        actor {word} {word}2 manager ;\n" in text
+    assert parse_ssm(text, "rt") == ctx
+
+
+def test_lists_made_only_of_statement_words_round_trip(case_ctx):
+    people = tuple(Individual(word, word, "Employee") for word in _STATEMENT_WORDS)
+    ids = tuple(IdRef(word) for word in _STATEMENT_WORDS)
+    rd = replace(case_ctx.root_definitions[0], customers=ids, actors=ids[::-1])
+    ctx = replace(case_ctx, individuals=case_ctx.individuals + people, root_definitions=(rd,))
+    assert parse_ssm(format_ssm(ctx), "rt") == ctx
 
 
 def test_spans_are_populated(case_ctx):
