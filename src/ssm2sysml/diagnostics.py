@@ -89,9 +89,8 @@ COMPILE_CODES: dict[str, Code] = {code.id: code for code in (
     Code("SSM-004", _E, "Every id is declared once in its scope: individuals and root definitions "
          "in the context; customers, actors and constraints in a root definition; input and output "
          "names in a transformation; activities, and apart from them monitors, in a conceptual "
-         "model. A root definition has at most one conceptual model.",
-         "Each declaration becomes one member of the model, whose names must be unique; a repeated "
-         "one would be mapped twice or lost."),
+         "model; and a root definition has at most one conceptual model.",
+         "Each declaration becomes one member of the model; a repeated one would be lost."),
     Code("SSM-005", _E, "Display names, definition types, worldviews, transformation statements "
          "and subjects, and constraint texts are non-empty.",
          "Each becomes a name, type, doc or rationale of the model; an empty one carries nothing."),

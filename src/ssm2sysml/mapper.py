@@ -215,19 +215,17 @@ class _Names:
         self.taken.setdefault(ns, set()).update(names)
 
     def add(self, role: str, key, wanted: str, ns: tuple = _PACKAGE) -> str:
-        """Allocate `wanted` in `ns` under the collision rule, once per key."""
-        slot = (ns, role, key)
-        if slot not in self.planned:
-            taken = self.taken.setdefault(ns, set())
-            name, n = wanted, 1
-            while name in taken:
-                n += 1
-                name = f"{wanted}_{n}"
-            taken.add(name)
-            self.planned[slot] = name
-            if ns == _PACKAGE:
-                self.layout.append((role, key))
-        return self.planned[slot]
+        """Allocate `wanted` in `ns` under the collision rule; each key is added once."""
+        taken = self.taken.setdefault(ns, set())
+        name, n = wanted, 1
+        while name in taken:
+            n += 1
+            name = f"{wanted}_{n}"
+        taken.add(name)
+        self.planned[ns, role, key] = name
+        if ns == _PACKAGE:
+            self.layout.append((role, key))
+        return name
 
     def __call__(self, role: str, key, ns: tuple = _PACKAGE) -> str:
         return self.planned[ns, role, key]
@@ -246,8 +244,8 @@ def _plan(
     names.reserve(("String",))
     for scaffold in (CATWOE_ENUM, CATWOE_DEF, RATIONALE_DEF):
         add("scaffold", scaffold, scaffold)
-    for ind in ctx.individuals:
-        add("individual def", ind.definition_type, ind.definition_type)
+    for def_type in dict.fromkeys(ind.definition_type for ind in ctx.individuals):
+        add("individual def", def_type, def_type)
     for ind in ctx.individuals:
         add("individual", ind.id, ind.id)
     # Part defs, then item defs, each in first-use order.
@@ -339,10 +337,8 @@ def _individual(ind: Individual, roles, name: _Names) -> Element:
 
 
 def _type_def(type_name: str, kind: ElementKind, rd_ids, name: _Names) -> Element:
-    """A subject/input/output type's definition.
-
-    The subject's part def of each root definition in `rd_ids` (those of
-    the state pattern) gets an idle->transformed state machine."""
+    """A subject/input/output type's definition; the part def of the subject of the
+    state-pattern root definitions `rd_ids` gets an idle->transformed state machine."""
     machine: tuple[Element, ...] = ()
     if kind is ElementKind.PART_DEF and rd_ids:
         machine = (
