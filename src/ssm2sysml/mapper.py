@@ -11,9 +11,9 @@ part together with its subject.
 Mapping runs in two passes.  `_plan` allocates every member name the
 mapper writes (in the package, each transformation part, each use case
 and each concern) in one table keyed by (namespace, role, source id),
-and lists the package's slots, (role, source id), in emitted order: the
-one statement of the package's layout.  The building pass writes each
-slot with its role's builder, taking every name and every reference
+in emitted order; so the table's package slots, (role, source id), are
+the one statement of the package's layout.  The building pass writes
+each slot with its role's builder, taking every name and every reference
 from the table, and reads the report's provenance from what it built.
 Collision rule: in each namespace the member written first keeps its
 name and later ones get `_2`, `_3`, ...  A nested namespace first
@@ -139,18 +139,18 @@ def _typed_attribute(name: str, type_name: str) -> Element:
 
 def _scaffold(wanted: str, name: str) -> Element:
     """The scaffolding definition named `wanted` by its constant, written as `name`."""
-    kind, children = {
-        CATWOE_ENUM: (ElementKind.ENUM_DEF, ()),
-        CATWOE_DEF: (ElementKind.METADATA_DEF, (_typed_attribute("element", CATWOE_ENUM),)),
-        RATIONALE_DEF: (ElementKind.METADATA_DEF, (_typed_attribute("text", "String"),)),
-        ENVIRONMENT_DEF: (ElementKind.REQUIREMENT_DEF, (catwoe_tag(CatwoeRole.ENVIRONMENT),)),
-        OWNER_CONCERN_DEF: (ElementKind.CONCERN_DEF, ()),
-        CUSTOMER_CONCERN_DEF: (ElementKind.CONCERN_DEF, ()),
-        VIEWPOINT_DEF: (ElementKind.VIEWPOINT_DEF, (catwoe_tag(CatwoeRole.WORLDVIEW),)),
-        TRANSFORMATION_DEF: (ElementKind.USE_CASE_DEF, ()),
+    kind, child = {
+        CATWOE_ENUM: (ElementKind.ENUM_DEF, None),
+        CATWOE_DEF: (ElementKind.METADATA_DEF, lambda: _typed_attribute("element", CATWOE_ENUM)),
+        RATIONALE_DEF: (ElementKind.METADATA_DEF, lambda: _typed_attribute("text", "String")),
+        ENVIRONMENT_DEF: (ElementKind.REQUIREMENT_DEF, lambda: catwoe_tag(CatwoeRole.ENVIRONMENT)),
+        OWNER_CONCERN_DEF: (ElementKind.CONCERN_DEF, None),
+        CUSTOMER_CONCERN_DEF: (ElementKind.CONCERN_DEF, None),
+        VIEWPOINT_DEF: (ElementKind.VIEWPOINT_DEF, lambda: catwoe_tag(CatwoeRole.WORLDVIEW)),
+        TRANSFORMATION_DEF: (ElementKind.USE_CASE_DEF, None),
     }[wanted]
     literals = tuple(role.label for role in CatwoeRole) if wanted == CATWOE_ENUM else ()
-    return Element(kind, name=name, enum_literals=literals, children=children)
+    return Element(kind, name=name, enum_literals=literals, children=(child(),) if child else ())
 
 
 def _typing(target: str) -> tuple[Relationship, ...]:
@@ -202,14 +202,11 @@ _TAGS = (CATWOE_ENUM, CATWOE_DEF)  # what a CATWOE tag refers to
 
 
 class _Names:
-    """Every member name, by (namespace, role, source id); unique per namespace.
-
-    `layout` lists the package's slots, (role, source id), as allocated."""
+    """Every member name, by (namespace, role, source id); unique per namespace."""
 
     def __init__(self) -> None:
-        self.planned: dict[tuple, str] = {}
+        self.planned: dict[tuple, str] = {}  # in allocation order
         self.taken: dict[tuple, set[str]] = {}
-        self.layout: list[tuple[str, object]] = []
 
     def reserve(self, names, ns: tuple = _PACKAGE) -> None:
         self.taken.setdefault(ns, set()).update(names)
@@ -223,8 +220,6 @@ class _Names:
             name = f"{wanted}_{n}"
         taken.add(name)
         self.planned[ns, role, key] = name
-        if ns == _PACKAGE:
-            self.layout.append((role, key))
         return name
 
     def __call__(self, role: str, key, ns: tuple = _PACKAGE) -> str:
@@ -624,13 +619,15 @@ def map_context(
             rds[rd_id], models.get(rd_id), orders.get(rd_id, []), name, options
         ),
     }
-    members = tuple(builders[role](key) for role, key in name.layout)
+    # The package's slots, (role, source id), in the order they were planned.
+    layout = [(role, key) for ns, role, key in name.planned if ns == _PACKAGE]
+    members = tuple(builders[role](key) for role, key in layout)
     model = Element(ElementKind.PACKAGE, name=ctx.name, children=members, span=ctx.span)
     paths = {id(element): path for element, path in iter_walk(model)}  # shares no object
     report = MappingReport(
         tuple(
             ProvenanceEntry(qname_text(paths[id(element)]), element.span, role)
-            for element, role in _provenance(ctx, dict(zip(name.layout, members)))
+            for element, role in _provenance(ctx, dict(zip(layout, members)))
         ),
         tuple(_warnings(ctx, name, models)),
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from .diagnostics import COMPILE_CODES, Diagnostic
 from .exprs import Expr
@@ -151,7 +152,7 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
     # The parser refuses a repeated top-level id; a context built in memory may hold one.
     for top in _repeats((*ctx.individuals, *ctx.root_definitions)):
         err("SSM-004", top.id, top.span, f"top-level id {top.id!r} is declared twice")
-    for cm in _repeats(ctx.conceptual_models, lambda cm: cm.root_definition_id.id):
+    for cm in _repeats(ctx.conceptual_models, attrgetter("root_definition_id.id")):
         err("SSM-004", f"cm:{cm.root_definition_id.id}", cm.span,
             f"root definition {cm.root_definition_id.id!r} has a second conceptual model")
 
@@ -177,7 +178,7 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
             err("SSM-005", path, tr.span or rd.span, f"transformation of {rd.id!r} has an empty statement")
         if not tr.subject_name or not tr.subject_type:
             err("SSM-005", path, tr.span or rd.span, f"transformation of {rd.id!r} lacks a subject")
-        for name, _ in _repeats(tr.inputs + tr.outputs, lambda param: param[0]):
+        for name, _ in _repeats(tr.inputs + tr.outputs, itemgetter(0)):
             err("SSM-004", path, tr.span or rd.span,
                 f"transformation of {rd.id!r} declares input/output name {name!r} twice")
 
@@ -245,13 +246,13 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
     return diags
 
 
-def _repeats(records, key=lambda record: record.id):
+def _repeats(records, key=attrgetter("id")):
     """Each record whose key an earlier record already has, in order."""
     seen: set = set()
     for record in records:
-        if key(record) in seen:
+        if (k := key(record)) in seen:
             yield record
-        seen.add(key(record))
+        seen.add(k)
 
 
 def _find_cycle(cm: ConceptualModel) -> list[str] | None:
