@@ -181,11 +181,12 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
         for name, _ in _repeats(tr.inputs + tr.outputs, itemgetter(0)):
             err("SSM-004", path, tr.span or rd.span,
                 f"transformation of {rd.id!r} declares input/output name {name!r} twice")
-
         for what, records in (("customer", rd.customers), ("actor", rd.actors),
                               ("environmental constraint", rd.environmental_constraints)):
             for record in _repeats(records):
-                err("SSM-004", path, record.span or rd.span, f"root definition {rd.id!r} declares {what} {record.id!r} twice")
+                err("SSM-004", path, record.span or rd.span,
+                    f"root definition {rd.id!r} declares {what} {record.id!r} twice")
+
         ec_ids = {ec.id for ec in rd.environmental_constraints}
         for ec in rd.environmental_constraints:
             if not ec.text:
