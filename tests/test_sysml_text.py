@@ -141,8 +141,20 @@ SUPPORTED_DEF_KEYWORDS = (
          ("an element declaration",)),
         ("port x;", "construct 'port' is outside the supported subset", 13,
          SUPPORTED_DEF_KEYWORDS),
+        ("part x y;", "expected ';', '{', found 'y'", 20, ("';'", "'{'")),
+        ("action a by ;", "expected performer name, found ';'", 25, ("performer name",)),
+        ("part x { doc x }", "expected /* documentation */, found 'x'", 26,
+         ("/* documentation */",)),
+        ("view v { filter ; }", "expected '@', istype, iskind, '(', not, found ';'", 29,
+         ("'@'", "istype", "iskind", "'('", "not")),
+        ("part x { first ; }", "expected succession source name, found ';'", 28,
+         ("succession source name",)),
+        ("state s { entry ; }", "expected entry action name, found ';'", 29,
+         ("entry action name",)),
+        ("state s { do ; }", "expected do action name, found ';'", 26, ("do action name",)),
     ],
-    ids=["metadata", "enum", "use", "perform", "unknown", "unsupported"],
+    ids=["metadata", "enum", "use", "perform", "unknown", "unsupported", "no-end", "by", "doc",
+         "filter", "first", "entry", "do"],
 )
 def test_declaration_errors_name_the_missing_keyword(body, message, column, expected):
     with pytest.raises(ParseError) as exc:
