@@ -423,30 +423,19 @@ def _parse_filter_atom(ts: TokenStream) -> FilterExpr:
     raise ts.error(("'@'", "istype", "iskind", "'('", "not"))
 
 
-class _Body:
-    """Mutable accumulator for one element body while parsing."""
-
-    def __init__(self) -> None:
-        self.children: list[Element] = []
-        self.statement_rels: list[Relationship] = []
-        self.doc: str | None = None
-        self.filter: FilterExpr | None = None
-        self.assignments: list[Assignment] = []
-        self.successions: list[Succession] = []
-        self.entry_action: QName | None = None
-        self.do_action: QName | None = None
-        self.enum_literals: list[str] = []
+# Element's fields that a declaration builds item by item; each becomes a tuple at its end.
+_SEQUENCES = ("relationships", "enum_literals", "assignments", "successions", "children")
 
 
-def _parse_body(ts: TokenStream, kind: ElementKind) -> _Body:
-    """Parse member statements up to, not including, the closing '}'."""
-    body = _Body()
+def _parse_body(ts: TokenStream, fields: dict) -> None:
+    """Parse member statements into `fields` up to, not including, the closing '}'."""
+    kind = fields["kind"]
     statements = _STATE_STATEMENTS if kind is ElementKind.STATE else _STATEMENTS
     while not ts.at("}"):
         tok = ts.current
         statement = statements.get(ts.keyword())
         if statement is not None:
-            statement(ts, body)
+            statement(ts, fields)
         elif tok.kind == EOF:
             raise ts.error(("'}'",))
         elif kind is ElementKind.ENUM_DEF and tok.kind in (IDENT, QNAME):
@@ -454,45 +443,44 @@ def _parse_body(ts: TokenStream, kind: ElementKind) -> _Body:
             if name is None:
                 raise ts.error(("enum literal name",))
             ts.expect(";")
-            body.enum_literals.append(name)
+            fields["enum_literals"].append(name)
         else:
-            body.children.append(_parse_declaration(ts))
-    return body
+            fields["children"].append(_parse_declaration(ts))
 
 
-# Body statements, each parsed from its keyword on.
+# Body statements, each parsed from its keyword on into its element's fields.
 
 
-def _metadata_statement(ts: TokenStream, body: _Body) -> None:
-    body.children.append(_parse_metadata_application(ts))
+def _metadata_statement(ts: TokenStream, fields: dict) -> None:
+    fields["children"].append(_parse_metadata_application(ts))
 
 
-def _doc_statement(ts: TokenStream, body: _Body) -> None:
+def _doc_statement(ts: TokenStream, fields: dict) -> None:
     ts.take()
-    body.doc = ts.expect_kind(BLOCKTEXT, "/* documentation */").value.strip()
+    fields["doc"] = ts.expect_kind(BLOCKTEXT, "/* documentation */").value.strip()
 
 
-def _comment_statement(ts: TokenStream, body: _Body) -> None:
+def _comment_statement(ts: TokenStream, fields: dict) -> None:
     start = ts.take()
     text = ts.expect_kind(BLOCKTEXT, "/* comment */")
     span = start.through(text)
-    body.children.append(Element(ElementKind.COMMENT, doc=text.value.strip(), span=span))
+    fields["children"].append(Element(ElementKind.COMMENT, doc=text.value.strip(), span=span))
 
 
-def _relationship_statement(ts: TokenStream, body: _Body) -> None:
+def _relationship_statement(ts: TokenStream, fields: dict) -> None:
     kind = _STATEMENT_KEYWORD_TO_REL[ts.take().value]
     target = _parse_qname(ts)
     ts.expect(";")
-    body.statement_rels.append(Relationship(kind, target))
+    fields["relationships"].append(Relationship(kind, target))
 
 
-def _filter_statement(ts: TokenStream, body: _Body) -> None:
+def _filter_statement(ts: TokenStream, fields: dict) -> None:
     ts.take()
-    body.filter = _parse_filter_expr(ts)
+    fields["filter"] = _parse_filter_expr(ts)
     ts.expect(";")
 
 
-def _succession_statement(ts: TokenStream, body: _Body) -> None:
+def _succession_statement(ts: TokenStream, fields: dict) -> None:
     ts.take()
     source = _parse_name(ts)
     if source is None:
@@ -502,35 +490,30 @@ def _succession_statement(ts: TokenStream, body: _Body) -> None:
     if target is None:
         raise ts.error(("succession target name",))
     ts.expect(";")
-    body.successions.append(Succession(source, target))
+    fields["successions"].append(Succession(source, target))
 
 
-def _assign_statement(ts: TokenStream, body: _Body) -> None:
+def _assign_statement(ts: TokenStream, fields: dict) -> None:
     ts.take()
     target = _parse_qname(ts, "assignment target")
     ts.expect(":=")
     value = parse_expr(ts)
     ts.expect(";")
-    body.assignments.append(Assignment(target, value))
+    fields["assignments"].append(Assignment(target, value))
 
 
-def _entry_statement(ts: TokenStream, body: _Body) -> None:
-    ts.take()
-    body.entry_action = _parse_qname(ts, "entry action name")
+def _state_action_statement(ts: TokenStream, fields: dict) -> None:
+    """`entry` or `do`, naming the action a state runs: `entry_action` or `do_action`."""
+    word = ts.take().value
+    fields[f"{word}_action"] = _parse_qname(ts, f"{word} action name")
     ts.expect(";")
 
 
-def _do_statement(ts: TokenStream, body: _Body) -> None:
-    ts.take()
-    body.do_action = _parse_qname(ts, "do action name")
-    ts.expect(";")
-
-
-def _signal_statement(ts: TokenStream, body: _Body) -> None:
+def _signal_statement(ts: TokenStream, fields: dict) -> None:
     flavor = ts.take()
     signal = _parse_qname(ts, "signal name")
     span = flavor.through(ts.expect(";"))
-    body.children.append(
+    fields["children"].append(
         Element(ElementKind.ACTION, flavor=flavor.value, signal=signal, span=span)
     )
 
@@ -546,7 +529,7 @@ _STATEMENTS = {
     "send": _signal_statement,
     "accept": _signal_statement,
 }
-_STATE_STATEMENTS = {**_STATEMENTS, "entry": _entry_statement, "do": _do_statement}
+_STATE_STATEMENTS = {**_STATEMENTS, **dict.fromkeys(("entry", "do"), _state_action_statement)}
 
 
 # Each keyword phrase of FORMS to its row, and each proper prefix of one to the word after it.
@@ -596,61 +579,38 @@ def _parse_declaration(ts: TokenStream) -> Element:
     if (direction is not None or is_ref) and not prefixable:
         raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
 
-    name = _parse_element_name(ts)
-    relationships: list[Relationship] = []
-    multiplicity: Multiplicity | None = None
-    value: Expr | None = None
-    performer: QName | None = None
+    fields = {key: [] for key in _SEQUENCES}
+    if fixed:
+        fields[fixed[0]] = fixed[1]
+    fields.update(kind=kind, name=_parse_element_name(ts), direction=direction, is_ref=is_ref)
     while True:
         word = ts.keyword()
         if word in _INLINE_REL:
             ts.take()
-            relationships.append(Relationship(_INLINE_REL[word], _parse_qname(ts)))
+            fields["relationships"].append(Relationship(_INLINE_REL[word], _parse_qname(ts)))
         elif word == "[":
-            multiplicity = _parse_multiplicity(ts)
+            fields["multiplicity"] = _parse_multiplicity(ts)
         elif word == "=":
             ts.take()
             if kind is ElementKind.ATTRIBUTE:
-                value = parse_expr(ts)
+                fields["value"] = parse_expr(ts)
             else:
-                relationships.append(Relationship(RelKind.BINDING, _parse_qname(ts)))
+                fields["relationships"].append(Relationship(RelKind.BINDING, _parse_qname(ts)))
         elif word == "by" and kind is ElementKind.ACTION:
             ts.take()
-            performer = _parse_qname(ts, "performer name")
+            fields["performer"] = _parse_qname(ts, "performer name")
         else:
             break
 
-    fields = dict(
-        [fixed] if fixed else (),
-        kind=kind,
-        name=name,
-        multiplicity=multiplicity,
-        direction=direction,
-        is_ref=is_ref,
-        performer=performer,
-        value=value,
-    )
-    if ts.at(";"):
-        span = first.through(ts.take())
-        return Element(relationships=tuple(relationships), span=span, **fields)
-    if not ts.at("{"):
+    if ts.at("{"):
+        ts.enter()
+        _parse_body(ts, fields)
+        ts.leave()
+    elif not ts.at(";"):
         raise ts.error(("';'", "'{'"))
-    ts.enter()
-    body = _parse_body(ts, kind)
-    ts.leave()
-    return Element(
-        relationships=tuple(relationships) + tuple(body.statement_rels),
-        doc=body.doc,
-        enum_literals=tuple(body.enum_literals),
-        entry_action=body.entry_action,
-        do_action=body.do_action,
-        filter=body.filter,
-        assignments=tuple(body.assignments),
-        successions=tuple(body.successions),
-        children=tuple(body.children),
-        span=first.through(ts.take()),
-        **fields,
-    )
+    for key in _SEQUENCES:
+        fields[key] = tuple(fields[key])
+    return Element(span=first.through(ts.take()), **fields)
 
 
 def _parse_transition(ts: TokenStream) -> Element:
