@@ -236,6 +236,8 @@ def _declarator(el: Element) -> str:
     binding: Relationship | None = None
     for rel in el.relationships:
         if rel.kind is RelKind.BINDING:
+            if binding is not None or el.value is not None:
+                raise UnsupportedElement("an element takes at most one '=' clause")
             binding = rel
         elif rel.kind in INLINE_REL_KINDS:
             bits.append(f"{rel.kind.value} {qname_to_text(rel.target)}")
@@ -325,7 +327,7 @@ def _parse_qname(ts: TokenStream, what: str = "qualified name") -> QName:
 
 
 def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
-    ts.expect("[")
+    """A multiplicity from after its '['."""
     lower = ts.take_int("multiplicity lower bound")
     upper: int | None = lower
     if ts.at(".."):
@@ -427,6 +429,20 @@ def _parse_filter_atom(ts: TokenStream) -> FilterExpr:
 _SEQUENCES = ("relationships", "enum_literals", "assignments", "successions", "children")
 
 
+def _claim(ts: TokenStream, fields: dict, field: str) -> None:
+    """Take the keyword of a clause that sets the single-valued `field`, marked set at None.
+
+    A second clause that sets it is refused at its keyword, so none replaces another.
+    """
+    tok = ts.current
+    if field in fields:
+        raise ParseError(
+            tok.span, f"{tok.value!r} may occur only once in a declaration", found=tok.value
+        )
+    fields[field] = None
+    ts.take()
+
+
 def _parse_body(ts: TokenStream, fields: dict) -> None:
     """Parse member statements into `fields` up to, not including, the closing '}'."""
     kind = fields["kind"]
@@ -456,7 +472,7 @@ def _metadata_statement(ts: TokenStream, fields: dict) -> None:
 
 
 def _doc_statement(ts: TokenStream, fields: dict) -> None:
-    ts.take()
+    _claim(ts, fields, "doc")
     fields["doc"] = ts.expect_kind(BLOCKTEXT, "/* documentation */").value.strip()
 
 
@@ -475,7 +491,7 @@ def _relationship_statement(ts: TokenStream, fields: dict) -> None:
 
 
 def _filter_statement(ts: TokenStream, fields: dict) -> None:
-    ts.take()
+    _claim(ts, fields, "filter")
     fields["filter"] = _parse_filter_expr(ts)
     ts.expect(";")
 
@@ -504,7 +520,8 @@ def _assign_statement(ts: TokenStream, fields: dict) -> None:
 
 def _state_action_statement(ts: TokenStream, fields: dict) -> None:
     """`entry` or `do`, naming the action a state runs: `entry_action` or `do_action`."""
-    word = ts.take().value
+    word = ts.current.value
+    _claim(ts, fields, f"{word}_action")
     fields[f"{word}_action"] = _parse_qname(ts, f"{word} action name")
     ts.expect(";")
 
@@ -589,15 +606,16 @@ def _parse_declaration(ts: TokenStream) -> Element:
             ts.take()
             fields["relationships"].append(Relationship(_INLINE_REL[word], _parse_qname(ts)))
         elif word == "[":
+            _claim(ts, fields, "multiplicity")
             fields["multiplicity"] = _parse_multiplicity(ts)
         elif word == "=":
-            ts.take()
+            _claim(ts, fields, "value")  # a binding, too, leaving `value` at None
             if kind is ElementKind.ATTRIBUTE:
                 fields["value"] = parse_expr(ts)
             else:
                 fields["relationships"].append(Relationship(RelKind.BINDING, _parse_qname(ts)))
         elif word == "by" and kind is ElementKind.ACTION:
-            ts.take()
+            _claim(ts, fields, "performer")
             fields["performer"] = _parse_qname(ts, "performer name")
         else:
             break

@@ -17,7 +17,7 @@ from ssm2sysml import (
     parse_sysml,
 )
 from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
-from ssm2sysml.sysml_ast import DEF_KINDS, FORMS, RelKind, iter_walk
+from ssm2sysml.sysml_ast import DEF_KINDS, FORMS, Relationship, RelKind, iter_walk
 
 from model_gen import gen_expr, gen_model, kitchen_sink, package
 
@@ -162,6 +162,41 @@ def test_declaration_errors_name_the_missing_keyword(body, message, column, expe
     error = exc.value
     assert (error.message, error.span.start_line, error.span.start_col) == (message, 1, column)
     assert error.expected == expected
+
+
+@pytest.mark.parametrize(
+    "body,keyword,column",
+    [
+        ("part x [1] [2];", "[", 24),
+        ("part x = a = b;", "=", 24),
+        ("attribute x = 1 : T = 2;", "=", 33),
+        ("action a by p by q;", "by", 27),
+        ("part x { doc /* a */ doc /* b */ }", "doc", 34),
+        ("view v { filter @M; filter @N; }", "filter", 33),
+        ("state s { entry a; entry b; }", "entry", 32),
+        ("state s { do a; do b; }", "do", 29),
+    ],
+    ids=["multiplicity", "binding", "value", "by", "doc", "filter", "entry", "do"],
+)
+def test_a_single_valued_clause_may_occur_once(body, keyword, column):
+    """A second clause would replace the first, so the text would not read back as written."""
+    with pytest.raises(ParseError) as exc:
+        parse_sysml(f"package P {{ {body} }}", "d")
+    error = exc.value
+    assert error.message == f"{keyword!r} may occur only once in a declaration"
+    assert (error.span.start_line, error.span.start_col, error.found) == (1, column, keyword)
+
+
+@pytest.mark.parametrize(
+    "kind,targets,value",
+    [(ElementKind.PART, ("a", "b"), None), (ElementKind.ATTRIBUTE, ("a",), Lit(1))],
+    ids=["two-bindings", "binding-and-value"],
+)
+def test_emit_refuses_a_second_equals_clause(kind, targets, value):
+    bindings = tuple(Relationship(RelKind.BINDING, (target,)) for target in targets)
+    element = Element(kind, name="x", relationships=bindings, value=value)
+    with pytest.raises(UnsupportedElement, match="at most one '=' clause"):
+        emit(package("P", element))
 
 
 @pytest.mark.parametrize("name", ["comment@0", "part@1", "use_case_def@12", "part_def@007"])
