@@ -88,7 +88,8 @@ def _block(ts: TokenStream, table: dict[str, _Statement]) -> tuple[dict, Token]:
 
     Returns each keyword's values in source order, and the `}`.  A
     hyphenated keyword such as `root-definition`, lexed as three tokens,
-    is looked up as one word.  Any number of `;` may follow a statement.
+    is looked up as one word.  A keyword of `_ONCE` is refused the second
+    time.  Any number of `;` may follow a statement.
     """
     members: dict = {keyword: [] for keyword in table}
     while not ts.at("}"):
@@ -102,6 +103,10 @@ def _block(ts: TokenStream, table: dict[str, _Statement]) -> tuple[dict, Token]:
                 raise ts.error((*table, "'}'"))
             ts.take()
             ts.take()
+        if keyword in _ONCE and members[keyword]:
+            raise ParseError(
+                first.span, f"{keyword!r} may occur only once in a {_ONCE[keyword]}", found=keyword
+            )
         ts.take()
         members[keyword].append(table[keyword](ts, first, members))
         while ts.at(";"):
@@ -158,9 +163,9 @@ def _root_definition(ts: TokenStream, first: Token, members: dict) -> RootDefini
         id=id_tok.value,
         customers=tuple(ref for refs in parts["customer"] for ref in refs),
         actors=tuple(ref for refs in parts["actor"] for ref in refs),
-        owner=parts["owner"][-1],
-        transformation=parts["transformation"][-1],
-        worldview=parts["worldview"][-1],
+        owner=parts["owner"][0],
+        transformation=parts["transformation"][0],
+        worldview=parts["worldview"][0],
         environmental_constraints=tuple(parts["environmental-constraint"]),
         span=first.through(end),
     )
@@ -188,7 +193,7 @@ def _transformation(ts: TokenStream, first: Token, members: dict) -> Transformat
     parts, end = _block(ts, _TRANSFORMATION)
     if not parts["subject"]:
         raise ParseError(end.span, "transformation block lacks a subject", expected=("subject",))
-    subject_name, subject_type = parts["subject"][-1]
+    subject_name, subject_type = parts["subject"][0]
     return Transformation(
         statement=statement,
         subject_name=subject_name,
@@ -302,6 +307,13 @@ _CONCEPTUAL_MODEL: dict[str, _Statement] = {
     "activity": _activity,
     "flow": _flow,
     "monitor": _monitor,
+}
+# The statements that set a single value, each to the block it may occur in once.
+_ONCE = {
+    "owner": "root definition",
+    "transformation": "root definition",
+    "worldview": "root definition",
+    "subject": "transformation",
 }
 # A customer or actor list ends at an identifier that starts a root-definition keyword.
 _RD_WORDS = frozenset(keyword.split("-")[0] for keyword in _ROOT_DEFINITION)

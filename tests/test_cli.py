@@ -211,6 +211,37 @@ def test_a_repeated_declaration_is_ssm_004(tmp_path, capsys, old, new, where, me
     assert not (tmp_path / "o" / "C.sysml").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        pytest.param("owner it ;", "owner it ;\n        owner ann ;", "8:9", id="owner"),
+        pytest.param(
+            'worldview "w" ;', 'worldview "w" ;\n        worldview "v" ;', "10:9", id="worldview"
+        ),
+        pytest.param(
+            'transformation "t" { subject s : S ; } ;',
+            'transformation "t" { subject s : S ; } ;\n'
+            '        transformation "u" { subject s : S ; } ;',
+            "9:9",
+            id="transformation",
+        ),
+        pytest.param("subject s : S ;", "subject s : S ; subject u : U ;", "8:46", id="subject"),
+    ],
+)
+def test_a_repeated_singular_statement_is_a_parse_error(tmp_path, capsys, old, new, where):
+    """A second owner, transformation, worldview or subject used to replace the first silently."""
+    assert _ONE_OF_EACH.count(old) == 1
+    source = tmp_path / "in.ssm"
+    source.write_text(_ONE_OF_EACH.replace(old, new))
+    assert main(["compile", str(source), "-o", str(tmp_path / "o")]) == 2
+    keyword = old.split()[0]
+    block = "transformation" if keyword == "subject" else "root definition"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{source}:{where}: {keyword!r} may occur only once in a {block}"
+    ]
+    assert not (tmp_path / "o" / "C.sysml").exists()
+
+
 def test_compile_continues_after_failures(tmp_path, capsys):
     bad = tmp_path / "bad.ssm"
     bad.write_text("not even close")
