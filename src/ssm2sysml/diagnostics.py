@@ -92,8 +92,10 @@ COMPILE_CODES: dict[str, Code] = {code.id: code for code in (
          "model; and a root definition has at most one conceptual model.",
          "Each declaration becomes one member of the model; a repeated one would be lost."),
     Code("SSM-005", _E, "Display names, definition types, worldviews, transformation statements "
-         "and subjects, and constraint texts are non-empty.",
-         "Each becomes a name, type, doc or rationale of the model; an empty one carries nothing."),
+         "and subjects, constraint texts, and the customer and actor lists of a root definition "
+         "are non-empty.",
+         "Each becomes a name, type, doc, rationale or stakeholder of the model; an empty one "
+         "carries nothing, and the .ssm notation cannot write an empty list."),
     Code("W-DUPNAME", _W, "No two individuals share a display name.",
          "Readers tell individuals apart by display name."),
     Code("W-NOCM", _W, "Every root definition has a conceptual model.",

@@ -166,6 +166,8 @@ def validate_context(ctx: SsmContext) -> list[Diagnostic]:
         path = rd.id
 
         for role, refs in (("customer", rd.customers), ("actor", rd.actors), ("owner", [rd.owner])):
+            if not refs:  # `.ssm` has no way to write an empty list
+                err("SSM-005", path, rd.span, f"root definition {rd.id!r} has an empty {role} list")
             for ref in refs:
                 resolve(ref, known, path, rd.span, f"{role} {ref.id!r} in root definition "
                         f"{rd.id!r} does not name a declared individual")

@@ -14,12 +14,16 @@ from ssm2sysml import (
     IdRef,
     Individual,
     MappingError,
+    ParseError,
     RootDefinition,
     SsmContext,
     Transformation,
+    format_ssm,
     map_context,
+    parse_ssm,
     validate_context,
 )
+from ssm2sysml.conformance import explain
 from ssm2sysml.ssm_model import _find_cycle
 
 from ssm_gen import gen_context
@@ -188,6 +192,19 @@ def test_empty_worldview_is_ssm_005(case_ctx):
     assert _codes(validate_context(replace(case_ctx, root_definitions=(rd,)))) == [
         "SSM-005"
     ]
+
+
+@pytest.mark.parametrize("role", ["customer", "actor"])
+def test_an_empty_customer_or_actor_list_is_ssm_005(case_ctx, role):
+    """`.ssm` has no way to write an empty list, so such a context would not read back."""
+    rd = replace(_rd(case_ctx), **{f"{role}s": ()})
+    ctx = replace(case_ctx, root_definitions=(rd,))
+    assert [(d.rule_id, d.message) for d in validate_context(ctx) if d.rule_id == "SSM-005"] == [
+        ("SSM-005", f"root definition {rd.id!r} has an empty {role} list")
+    ]
+    with pytest.raises(ParseError, match=f"expected {role} id, found ';'"):
+        parse_ssm(format_ssm(ctx))
+    assert "the customer and actor lists of a root definition" in explain("SSM-005")
 
 
 def test_empty_display_name_is_ssm_005():
