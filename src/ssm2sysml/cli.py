@@ -51,14 +51,15 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
     color = _color_enabled()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     options = MappingOptions(state_pattern=frozenset(args.state_pattern))
     worst = OK
+    rd_ids: set[str] = set()  # of every input that parses, for the --state-pattern check
     for input_path in args.inputs:
         ctx = _load(parse_ssm, input_path)
         if ctx is None:
             worst = max(worst, FAULT)
             continue
+        rd_ids.update(rd.id for rd in ctx.root_definitions)
         try:
             model, report = map_context(ctx, options)
         except MappingError as exc:
@@ -68,6 +69,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             continue
         for warning in report.warnings:
             _print_diag(warning, color)
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before: a failed run leaves none
         target = out_dir / f"{ctx.name}.sysml"
         target.write_text(emit(model), encoding="utf-8")
         if args.report:
@@ -78,6 +80,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
                 json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
             )
         print(f"wrote {target}")
+    for rd_id in dict.fromkeys(args.state_pattern):
+        if rd_id not in rd_ids:
+            print(f"--state-pattern {rd_id!r} names no root definition", file=sys.stderr)
+            worst = FAULT
     return worst
 
 

@@ -95,6 +95,24 @@ def test_compile_state_pattern(tmp_path):
     assert "send assignLicenseDone;" in text
 
 
+def test_a_state_pattern_that_names_no_root_definition_exits_2(tmp_path, capsys):
+    misspelt = ["--state-pattern", "assignLicence"]
+    args = ["compile", DATA_SSM, "-o", str(tmp_path), *misspelt, "--state-pattern",
+            "assignLicense", *misspelt]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "--state-pattern 'assignLicence' names no root definition"
+    ]
+    assert "state idle;" in (tmp_path / "Context.sysml").read_text()
+
+
+def test_a_state_pattern_may_name_a_root_definition_of_any_input(tmp_path, capsys):
+    (tmp_path / "c.ssm").write_text(_ONE_OF_EACH)
+    args = ["compile", DATA_SSM, str(tmp_path / "c.ssm"), "-o", str(tmp_path), "--state-pattern", "r"]
+    assert main(args) == 0  # `r` is in the second input only
+    assert "--state-pattern" not in capsys.readouterr().err
+
+
 def test_compile_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ssm"
     bad.write_text("context {")
@@ -209,6 +227,7 @@ def test_a_repeated_declaration_is_ssm_004(tmp_path, capsys, old, new, where, me
         f"{source}:{where}: error[SSM-004] {message}"
     ]
     assert not (tmp_path / "o" / "C.sysml").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -339,6 +358,7 @@ def test_number_past_the_float_range_is_a_parse_error(tmp_path, case):
     assert done.stderr.startswith(f"{name}:")
     assert done.stderr.endswith("number out of floating-point range\n")
     assert not (tmp_path / "out" / "Context.sysml").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # Constraints that `compile` once wrote in a form `check` could not read back.
