@@ -412,16 +412,13 @@ def _parse_filter_atom(ts: TokenStream) -> FilterExpr:
         return FTyped(_parse_qname(ts, "type name"))
     if ts.at("iskind"):
         ts.take()
-        kind = ts.expect_kind(IDENT, "element kind name").value
+        tok = ts.expect_kind(IDENT, "element kind name")
         try:
-            ElementKind(kind)
+            ElementKind(tok.value)
         except ValueError as exc:
-            raise ParseError(
-                ts.peek(-1).span if ts.pos else ts.current.span,
-                f"unknown element kind {kind!r}",
-                found=kind,
-            ) from exc
-        return FKind(kind)
+            message = f"unknown element kind {tok.value!r}"
+            raise ParseError(tok.span, message, found=tok.value) from exc
+        return FKind(tok.value)
     raise ts.error(("'@'", "istype", "iskind", "'('", "not"))
 
 
@@ -633,38 +630,25 @@ def _parse_declaration(ts: TokenStream) -> Element:
 
 def _parse_transition(ts: TokenStream) -> Element:
     start = ts.expect("transition")
-    name = _parse_element_name(ts)
+    fields = {"name": _parse_element_name(ts)}
     ts.expect("first")
-    source = _parse_name(ts)
-    if source is None:
+    fields["source"] = _parse_name(ts)
+    if fields["source"] is None:
         raise ts.error(("source state name",))
-    trigger: QName | None = None
-    guard: Expr | None = None
-    effect: QName | None = None
     if ts.at("accept"):
         ts.take()
-        trigger = _parse_qname(ts, "trigger signal name")
+        fields["trigger"] = _parse_qname(ts, "trigger signal name")
     if ts.at("if"):
         ts.take()
-        guard = parse_expr(ts)
+        fields["guard"] = parse_expr(ts)
     if ts.at("do"):
         ts.take()
-        effect = _parse_qname(ts, "effect action name")
+        fields["effect"] = _parse_qname(ts, "effect action name")
     ts.expect("then")
-    target = _parse_name(ts)
-    if target is None:
+    fields["target"] = _parse_name(ts)
+    if fields["target"] is None:
         raise ts.error(("target state name",))
-    end = ts.expect(";")
-    return Element(
-        ElementKind.TRANSITION,
-        name=name,
-        source=source,
-        target=target,
-        trigger=trigger,
-        guard=guard,
-        effect=effect,
-        span=start.through(end),
-    )
+    return Element(ElementKind.TRANSITION, span=start.through(ts.expect(";")), **fields)
 
 
 def _parse_constraint(ts: TokenStream) -> Element:
