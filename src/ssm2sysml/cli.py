@@ -54,6 +54,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     options = MappingOptions(state_pattern=frozenset(args.state_pattern))
     worst = OK
     rd_ids: set[str] = set()  # of every input that parses, for the --state-pattern check
+    written: dict[Path, str] = {}  # each file this run wrote, to the input it came from
     for input_path in args.inputs:
         ctx = _load(parse_ssm, input_path)
         if ctx is None:
@@ -69,8 +70,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
             continue
         for warning in report.warnings:
             _print_diag(warning, color)
-        out_dir.mkdir(parents=True, exist_ok=True)  # not before: a failed run leaves none
         target = out_dir / f"{ctx.name}.sysml"
+        if target in written:
+            print(
+                f"{input_path}: not writing {target}, already written from {written[target]}"
+                f" (both declare context {ctx.name})",
+                file=sys.stderr,
+            )
+            worst = FAULT
+            continue
+        written[target] = input_path
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before: a failed run leaves none
         target.write_text(emit(model), encoding="utf-8")
         if args.report:
             import json

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ParseError
-from .lexing import IDENT, NUMBER, STRING, TokenStream, lex, quote
+from .lexing import IDENT, NUMBER, STRING, TokenStream, iter_lex, quote
 
 Expr = Union["Ref", "Lit", "EnumLit", "Unary", "Binary"]
 
@@ -156,11 +156,11 @@ def _parse_atom(ts: TokenStream) -> Expr:
 
 def parse_expr_text(text: str, file: str = "<expr>", depth: int = 0) -> Expr:
     """Parse a whole expression string, to be written inside `depth` open nesting levels."""
-    ts = TokenStream(lex(text, file, "sysml"))
-    ts.depth = depth
-    expr = parse_expr(ts)
-    if ts.current.kind != "eof":
-        raise ts.error(("end of expression",))
+    with TokenStream(iter_lex(text, file, "sysml")) as ts:
+        ts.depth = depth
+        expr = parse_expr(ts)
+        if ts.current.kind != "eof":
+            raise ts.error(("end of expression",))
     return expr
 
 

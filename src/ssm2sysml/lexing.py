@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 from .source import SourceSpan
@@ -94,8 +94,8 @@ def _decode(escape: re.Match[str]) -> str:
     return _UNESCAPE[escape.group(1)]
 
 
-def lex(source: str, file: str, style: str) -> list[Token]:
-    """Tokenize `source`; `style` is 'ssm' or 'sysml'.
+def iter_lex(source: str, file: str, style: str) -> Iterator[Token]:
+    """Yield the tokens of `source` one at a time; `style` is 'ssm' or 'sysml'.
 
     One match of the master pattern per token, layout included.  Tokens
     keep offsets and share `lines`, the table `Token.span` reads.
@@ -103,7 +103,6 @@ def lex(source: str, file: str, style: str) -> list[Token]:
     lines = [0, *(m.end() for m in re.finditer("\n", source))]
     match = _PATTERNS[style].match
     new = tuple.__new__  # skips the Python-level `Token.__new__`, a call per token
-    tokens: list[Token] = []
     pos = 0
     while True:
         m = match(source, pos)
@@ -117,9 +116,14 @@ def lex(source: str, file: str, style: str) -> list[Token]:
             text = _ESCAPE_RE.sub(_decode, text[1:-1])
         elif kind == BLOCKTEXT:
             text = text[2:-2]
-        tokens.append(new(Token, (kind, text, start, pos, file, lines)))
+        yield new(Token, (kind, text, start, pos, file, lines))
         if kind == EOF:
-            return tokens
+            return
+
+
+def lex(source: str, file: str, style: str) -> list[Token]:
+    """Every token of `source`, up to and including EOF."""
+    return list(iter_lex(source, file, style))
 
 
 def _fault(source: str, pos: int, style: str, at: SourceSpan) -> ParseError:
@@ -140,16 +144,32 @@ def _fault(source: str, pos: int, style: str, at: SourceSpan) -> ParseError:
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over a token iterator, holding `current` and at most two tokens ahead.
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.current = tokens[0]
+    As a context manager, it lexes the rest when a ParseError leaves the block:
+    the source's first lexical fault wins over an earlier syntax error.
+    """
+
+    def __init__(self, tokens: Iterable[Token]) -> None:
+        self._tokens = iter(tokens)
+        self._ahead: list[Token] = []  # tokens after `current` that `peek` has read
+        self.current = next(self._tokens)
         self.depth = 0  # nesting levels entered
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def __enter__(self) -> TokenStream:
+        return self
+
+    def __exit__(self, kind: type | None, error: BaseException | None, trace: object) -> None:
+        if isinstance(error, ParseError):
+            for _ in self._tokens:  # raises a later lexical fault
+                pass
+
+    def peek(self, offset: int) -> Token:
+        """The token `offset` (1 or 2) after `current`; EOF past the end."""
+        ahead = self._ahead
+        while len(ahead) < offset:  # once the iterator ends, the last token, EOF, repeats
+            ahead.append(next(self._tokens, ahead[-1] if ahead else self.current))
+        return ahead[offset - 1]
 
     def at(self, value: str) -> bool:
         return self.current.value == value and self.current.kind in (IDENT, PUNCTUATION)
@@ -162,8 +182,7 @@ class TokenStream:
     def take(self) -> Token:
         tok = self.current
         if tok.kind != EOF:
-            self.pos += 1
-            self.current = self.tokens[self.pos]
+            self.current = self._ahead.pop(0) if self._ahead else next(self._tokens)
         return tok
 
     def take_int(self, what: str) -> int:

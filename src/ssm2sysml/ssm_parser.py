@@ -38,7 +38,7 @@ from typing import Callable
 
 from .errors import ParseError
 from .exprs import expr_to_text, parse_expr_text
-from .lexing import CONSTRAINT_DEPTH, EOF, IDENT, PUNCTUATION, STRING, Token, TokenStream, lex, quote
+from .lexing import CONSTRAINT_DEPTH, EOF, IDENT, PUNCTUATION, STRING, Token, TokenStream, iter_lex, quote
 from .source import SourceSpan
 from .ssm_model import (
     Activity,
@@ -62,12 +62,12 @@ def parse_ssm(source: str, file_name: str = "<ssm>") -> SsmContext:
     Dangling references are allowed here; `validate_context` reports
     them.  Duplicate top-level ids are a parse-level error.
     """
-    ts = TokenStream(lex(source, file_name, "ssm"))
-    first = ts.expect("context")
-    name = ts.expect_kind(IDENT, "context name").value
-    ts.expect("{")
-    members, end = _block(ts, _CONTEXT)
-    ts.expect_kind(EOF, "end of input")
+    with TokenStream(iter_lex(source, file_name, "ssm")) as ts:
+        first = ts.expect("context")
+        name = ts.expect_kind(IDENT, "context name").value
+        ts.expect("{")
+        members, end = _block(ts, _CONTEXT)
+        ts.expect_kind(EOF, "end of input")
     return SsmContext(
         name=name,
         file=file_name,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import ParseError, UnsupportedConstruct, UnsupportedElement
 from .exprs import Expr, expr_to_text, parse_expr, parse_operand
-from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, QNAME, TokenStream, lex, quote
+from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, QNAME, TokenStream, iter_lex, quote
 from .sysml_ast import (
     Assignment,
     Element,
@@ -56,6 +56,8 @@ _STATEMENT_REL = {
     RelKind.REFERENCES: "references",
 }
 _STATEMENT_KEYWORD_TO_REL = {v: k for k, v in _STATEMENT_REL.items()}
+# The order `emit` writes relationships in: inline relations, the binding, then statements.
+_REL_RANK = {kind: 2 if kind in _STATEMENT_REL else kind is RelKind.BINDING for kind in RelKind}
 
 
 _INDENT = "    "
@@ -234,10 +236,22 @@ def _declarator(el: Element) -> str:
         bits.append(name_text(el.name))
 
     binding: Relationship | None = None
+    rank = 0
     for rel in el.relationships:
+        if _REL_RANK[rel.kind] < rank:
+            order = ", ".join(rel.kind.name for rel in el.relationships)
+            raise UnsupportedElement(
+                f"relationships ({order}) would read back reordered: inline relations"
+                " come first, then the binding, then relationship statements"
+            )
+        rank = _REL_RANK[rel.kind]
         if rel.kind is RelKind.BINDING:
             if binding is not None or el.value is not None:
                 raise UnsupportedElement("an element takes at most one '=' clause")
+            if el.kind is ElementKind.ATTRIBUTE:  # its '=' reads back as a value
+                raise UnsupportedElement(
+                    "an element of kind attribute takes no BINDING relationship"
+                )
             binding = rel
         elif rel.kind in INLINE_REL_KINDS:
             bits.append(f"{rel.kind.value} {qname_to_text(rel.target)}")
@@ -287,11 +301,11 @@ def _body_lines(el: Element, depth: int) -> list[str]:
 
 def parse_sysml(source: str, file_name: str = "<sysml>") -> Element:
     """Parse subset text into a Package element; raises ParseError."""
-    ts = TokenStream(lex(source, file_name, "sysml"))
-    if not ts.at("package"):
-        raise ts.error(("package",))
-    pkg = _parse_declaration(ts)
-    ts.expect_kind(EOF, "end of input")
+    with TokenStream(iter_lex(source, file_name, "sysml")) as ts:
+        if not ts.at("package"):
+            raise ts.error(("package",))
+        pkg = _parse_declaration(ts)
+        ts.expect_kind(EOF, "end of input")
     return pkg
 
 
@@ -599,6 +613,10 @@ def _parse_declaration(ts: TokenStream) -> Element:
     fields.update(kind=kind, name=_parse_element_name(ts), direction=direction, is_ref=is_ref)
     while True:
         word = ts.keyword()
+        if (word in _INLINE_REL or word == "[") and "value" in fields:  # after `=`
+            raise ParseError(
+                ts.current.span, f"{word!r} may not follow '=' in a declaration", found=word
+            )
         if word in _INLINE_REL:
             ts.take()
             fields["relationships"].append(Relationship(_INLINE_REL[word], _parse_qname(ts)))

@@ -270,6 +270,22 @@ def test_compile_continues_after_failures(tmp_path, capsys):
     assert (out / "Context.sysml").exists()  # ... but good inputs still compile
 
 
+def test_compile_refuses_to_overwrite_what_it_wrote(tmp_path, capsys):
+    """Two inputs that declare one context name would write one file."""
+    second = tmp_path / "second.ssm"
+    second.write_text(Path(DATA_SSM).read_text().replace('"HR Manager"', '"HR Lead"'))
+    out = tmp_path / "o"
+    assert main(["compile", DATA_SSM, str(second), "-o", str(out), "--report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"wrote {out / 'Context.sysml'}"]
+    assert captured.err.splitlines() == [
+        f"{second}: not writing {out / 'Context.sysml'}, already written from {DATA_SSM}"
+        " (both declare context Context)"
+    ]
+    assert "HR Lead" not in (out / "Context.sysml").read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["Context.report.json", "Context.sysml"]
+
+
 def test_compile_of_a_3000_activity_chain(tmp_path):
     case = Path(DATA_SSM).read_text()
     start, end = case.index("        activity a1"), case.index("        monitor m1")

@@ -24,9 +24,12 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from ssm2sysml import ParseError, emit, format_ssm, map_context, parse_ssm
+from ssm2sysml import ParseError, emit, format_ssm, map_context, parse_ssm, parse_sysml
+from ssm2sysml import ssm_parser, sysml_text
+from ssm2sysml.exprs import parse_expr_text
 from ssm2sysml.lexing import (
-    BLOCKTEXT, EOF, IDENT, IDENT_RE, NUMBER, PUNCTUATION, QNAME, STRING, lex, quote,
+    BLOCKTEXT, EOF, IDENT, IDENT_RE, NUMBER, PUNCTUATION, QNAME, STRING, TokenStream, iter_lex,
+    lex, quote,
 )
 from ssm2sysml.source import SourceSpan
 
@@ -192,6 +195,76 @@ def test_spans_match_a_reference_walker(case):
     expected = [(kind, value, span(start, end)) for kind, value, start, end in tokens]
     expected.append((EOF, "", span(len(text), len(text))))
     assert [(t.kind, t.value, t.span) for t in lex(text, "f", style)] == expected
+
+
+# --- the token stream ------------------------------------------------------------
+
+
+def _lookahead(monkeypatch, module, parse, text: str, style: str) -> list[int]:
+    """For each token `parse` pulls after the first, how far past `current` it lies."""
+    tokens = lex(text, "f", style)
+    index = {tok.start: i for i, tok in enumerate(tokens)}
+    distances: list[int] = []
+    stream = None
+
+    def counting():
+        for i, tok in enumerate(tokens):
+            if stream is not None:
+                distances.append(i - index[stream.current.start])
+            yield tok
+
+    def open_stream(_unread):
+        nonlocal stream
+        stream = TokenStream(counting())
+        return stream
+
+    monkeypatch.setattr(module, "TokenStream", open_stream)
+    parse(text, "f")
+    assert len(distances) == len(tokens) - 1  # each token pulled once, EOF included
+    return distances
+
+
+@pytest.mark.parametrize("name", ["kettle.sysml", "case_study.sysml", "case_study.ssm"])
+def test_the_parsers_read_at_most_two_tokens_ahead(monkeypatch, name):
+    if name.endswith(".ssm"):
+        distances = _lookahead(monkeypatch, ssm_parser, parse_ssm, _bases()[name], "ssm")
+        assert max(distances) == 2  # `root-definition` is three tokens
+    else:
+        distances = _lookahead(monkeypatch, sysml_text, parse_sysml, _bases()[name], "sysml")
+        assert max(distances) <= 2
+
+
+def test_peek_past_the_end_gives_eof():
+    ts = TokenStream(iter_lex("a", "f", "sysml"))
+    assert (ts.peek(1).kind, ts.peek(2).kind) == (EOF, EOF)
+    assert ts.take().value == "a"
+    assert (ts.current.kind, ts.peek(1).kind, ts.peek(2).kind) == (EOF, EOF, EOF)
+    assert ts.take().kind == EOF and ts.current.kind == EOF
+
+
+# A syntax error, then a lexical fault further on: (parse, notation, text, message, line, column).
+SYNTAX_THEN_FAULT = [
+    (parse_sysml, "sysml", 'package P {\n    part x = a : T;\n    attribute s = "open\n}\n',
+     "newline inside string literal", 3, 19),
+    (parse_sysml, "sysml", "package P { part ; }\n# trailer", "unexpected character '#'", 2, 1),
+    (parse_ssm, "ssm", 'context C {\n  bogus\n  individual b : P "open\n}',
+     "newline inside string literal", 3, 20),
+    (parse_expr_text, "sysml", '(a + ) == "x\\q"', "unknown escape sequence \\q", 1, 11),
+]
+
+
+@pytest.mark.parametrize("parse, style, text, message, line, column", SYNTAX_THEN_FAULT)
+def test_a_later_lexical_fault_wins_over_a_syntax_error(parse, style, text, message, line, column):
+    """As when the whole file was lexed before parsing: the first lexical fault is reported."""
+    with pytest.raises(ParseError) as exc:
+        parse(text, "f")
+    error = exc.value
+    assert (error.message, error.span.start_line, error.span.start_col) == (message, line, column)
+    with pytest.raises(ParseError) as lexed:
+        lex(text, "f", style)
+    assert (error.message, error.span, error.expected, error.found) == (
+        lexed.value.message, lexed.value.span, lexed.value.expected, lexed.value.found
+    )
 
 
 # --- recorded token streams ---------------------------------------------------

@@ -169,7 +169,7 @@ def test_declaration_errors_name_the_missing_keyword(body, message, column, expe
     [
         ("part x [1] [2];", "[", 24),
         ("part x = a = b;", "=", 24),
-        ("attribute x = 1 : T = 2;", "=", 33),
+        ("attribute x : T = 1 = 2;", "=", 33),
         ("action a by p by q;", "by", 27),
         ("part x { doc /* a */ doc /* b */ }", "doc", 34),
         ("view v { filter @M; filter @N; }", "filter", 33),
@@ -196,6 +196,47 @@ def test_emit_refuses_a_second_equals_clause(kind, targets, value):
     bindings = tuple(Relationship(RelKind.BINDING, (target,)) for target in targets)
     element = Element(kind, name="x", relationships=bindings, value=value)
     with pytest.raises(UnsupportedElement, match="at most one '=' clause"):
+        emit(package("P", element))
+
+
+@pytest.mark.parametrize(
+    "body,word,column",
+    [
+        ("part x = a : T;", ":", 24),
+        ("part x = a :> S;", ":>", 24),
+        ("part x = a :>> S;", ":>>", 24),
+        ("part x = a [1];", "[", 24),
+        ("attribute x = 1 :>> y;", ":>>", 29),
+        ("action a = b [1] by p;", "[", 26),
+    ],
+)
+def test_a_relation_or_multiplicity_after_equals_is_refused(body, word, column):
+    """The binding comes last, where `emit` writes it, so no declaration reads back reordered."""
+    with pytest.raises(ParseError) as exc:
+        parse_sysml(f"package P {{ {body} }}", "d")
+    error = exc.value
+    assert error.message == f"{word!r} may not follow '=' in a declaration"
+    assert (error.span.start_line, error.span.start_col, error.found) == (1, column, word)
+
+
+_T, _B, _R = (Relationship(k, ("t",)) for k in (RelKind.TYPING, RelKind.BINDING, RelKind.REFINES))
+
+
+@pytest.mark.parametrize(
+    "relationships",
+    [(_B, _T), (_R, _T), (_R, _B), (_T, _R, _B)],
+    ids=["binding-typing", "refines-typing", "refines-binding", "typing-refines-binding"],
+)
+def test_emit_refuses_relationships_it_would_reorder(relationships):
+    element = Element(ElementKind.PART, name="x", relationships=relationships)
+    with pytest.raises(UnsupportedElement, match="would read back reordered"):
+        emit(package("P", element))
+
+
+def test_emit_refuses_a_binding_on_an_attribute():
+    """`attribute x = t;` would read back as the value `t`, with no relationship."""
+    element = Element(ElementKind.ATTRIBUTE, name="x", relationships=(_B,))
+    with pytest.raises(UnsupportedElement, match="kind attribute takes no BINDING relationship"):
         emit(package("P", element))
 
 
