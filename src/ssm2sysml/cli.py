@@ -1,11 +1,12 @@
 """Command-line front end: compile, check, trace, view, explain.
 
 Exit codes: 0 = success/conformant, 1 = error-severity diagnostics,
-2 = parse/IO/usage error, a closed stdout, or an internal error, which
-is reported in one line.  The code reflects the worst outcome across all
-inputs.  Outputs are deterministic: no timestamps, stable ordering.
-Each subcommand imports only the modules it runs, because every call is
-a fresh process that would otherwise load the whole package.
+2 = parse/IO/usage error, a name that trace or view cannot look up, a
+closed stdout, or an internal error, which is reported in one line.
+The code reflects the worst outcome across all inputs.  Outputs are
+deterministic: no timestamps, stable ordering.  Each subcommand imports
+only the modules it runs, because every call is a fresh process that
+would otherwise load the whole package.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic
-from .errors import MappingError, ParseError, UnknownElement, UnknownRule
+from .errors import MappingError, ParseError, UnknownRule
 
 OK, DIAGNOSTICS, FAULT = 0, 1, 2
 
@@ -25,10 +26,6 @@ def _color_enabled() -> bool:
     if value in ("0", "1"):
         return value == "1"
     return sys.stderr.isatty()
-
-
-def _print_diag(diag: Diagnostic, color: bool) -> None:
-    print(diag.to_text(color), file=sys.stderr)
 
 
 def _load(parse, path: str):
@@ -65,11 +62,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
             model, report = map_context(ctx, options)
         except MappingError as exc:
             for diag in exc.diagnostics:
-                _print_diag(diag, color)
+                print(diag.to_text(color), file=sys.stderr)
             worst = max(worst, DIAGNOSTICS)
             continue
         for warning in report.warnings:
-            _print_diag(warning, color)
+            print(warning.to_text(color), file=sys.stderr)
         target = out_dir / f"{ctx.name}.sysml"
         if target in written:
             print(
@@ -128,14 +125,34 @@ def cmd_check(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from .sysml_ast import qname_text
+def _query(args: argparse.Namespace, query: str, run) -> int:
+    """Print the text that `run(model)` returns with the elements it found, or with
+    `--format json` their `query_json`; a name `run` cannot look up exits 2."""
+    from .errors import UnknownElement, UnknownMetadataDef, UnknownType
     from .sysml_text import parse_sysml
-    from .trace_view import EDGE_KINDS, build_graph, query_json, reach
+    from .trace_view import query_json
 
     model = _load(parse_sysml, args.model)
     if model is None:
         return FAULT
+    try:
+        elements, text = run(model)
+    except (UnknownElement, UnknownMetadataDef, UnknownType) as exc:
+        print(str(exc), file=sys.stderr)
+        return FAULT
+    if args.format == "json":
+        import json
+
+        print(json.dumps(query_json(query, elements), indent=2))
+    else:
+        print(text)
+    return OK
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    from .sysml_ast import qname_text
+    from .trace_view import EDGE_KINDS, build_graph, reach
+
     kinds = None
     if args.kinds:
         kinds = frozenset(args.kinds.split(","))
@@ -147,42 +164,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
             )
             return FAULT
     direction = "backward" if args.backward else "forward"
-    graph = build_graph(model)
-    try:
-        result = reach(graph, args.source, direction, kinds)
-    except UnknownElement as exc:
-        print(str(exc), file=sys.stderr)
-        return FAULT
-    if args.format == "json":
-        import json
 
-        query = f"trace {direction} from {args.source}"
-        print(json.dumps(query_json(query, result), indent=2))
-    else:
-        for path in sorted(qname_text(p) for p in result):
-            print(path)
-    return OK
+    def run(model):
+        result = reach(build_graph(model), args.source, direction, kinds)
+        return result, "\n".join(sorted(qname_text(p) for p in result))
+
+    return _query(args, f"trace {direction} from {args.source}", run)
 
 
 def cmd_view(args: argparse.Namespace) -> int:
-    from .sysml_text import parse_sysml
-    from .trace_view import query_json, render_view
+    from .trace_view import render_view
 
-    model = _load(parse_sysml, args.model)
-    if model is None:
-        return FAULT
-    try:
-        elements, report = render_view(model, args.view)
-    except UnknownElement as exc:
-        print(str(exc), file=sys.stderr)
-        return FAULT
-    if args.format == "json":
-        import json
-
-        print(json.dumps(query_json(f"view {args.view}", elements), indent=2))
-    else:
-        print(report)
-    return OK
+    return _query(args, f"view {args.view}", lambda model: render_view(model, args.view))
 
 
 def cmd_explain(args: argparse.Namespace) -> int:

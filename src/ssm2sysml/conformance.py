@@ -35,6 +35,7 @@ from .sysml_ast import (
     Position,
     QName,
     RelKind,
+    bound,
     qname_text,
     segment,
 )
@@ -95,20 +96,13 @@ _USE_CASES = frozenset({K.USE_CASE, K.USE_CASE_DEF})
 _ALL_ROLES = ("Customer", "Actor", "Transformation", "Worldview", "Owner", "Environment")
 
 
-def _bound(apps: Iterable[Element], meta_def: str, attr: str) -> Iterator[object]:
-    """Values bound to `attr` by the applications of metadata definition `meta_def`."""
-    for app in apps:
-        if app.meta_def and app.meta_def[-1] == meta_def:
-            yield from (value for name, value in app.bindings if name == attr)
-
-
 def _roles(apps: Iterable[Element]) -> set[str]:
     """CATWOE role labels tagged by the metadata applications."""
-    return {v.literal for v in _bound(apps, CATWOE_DEF, "element") if isinstance(v, EnumLit)}
+    return {v.literal for v in bound(apps, CATWOE_DEF, "element") if isinstance(v, EnumLit)}
 
 
 def _rationale_text(element: Element) -> str | None:
-    texts = _bound(element.metadata_applications(), RATIONALE_DEF, "text")
+    texts = bound(element.metadata_applications(), RATIONALE_DEF, "text")
     return next((v.value for v in texts if isinstance(v, Lit) and isinstance(v.value, str)), None)
 
 

@@ -63,11 +63,13 @@ class UnknownRule(KeyError):
 
 
 class UnknownMetadataDef(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unknown metadata definition {self.args[0]!r}"
 
 
 class UnknownType(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unknown type {self.args[0]!r}"
 
 
 class MappingError(ValueError):

@@ -169,14 +169,6 @@ def expr_to_text(expr: Expr) -> str:
     return _render(expr, 0)
 
 
-def _prec_of(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        return _PREC[expr.op]
-    if isinstance(expr, Unary):
-        return _PREC["not"] if expr.op == "not" else _PREC["neg"]
-    return 9
-
-
 def _render(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Lit):
         if isinstance(expr.value, bool):
@@ -196,14 +188,15 @@ def _render(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, EnumLit):
         return ".".join(expr.enum) + "::" + expr.literal
     if isinstance(expr, Unary):
-        prec = _prec_of(expr)
         if expr.op == "not":
+            prec = _PREC["not"]
             body = f"not {_render(expr.operand, prec)}"
         else:
+            prec = _PREC["neg"]
             body = f"-{_render(expr.operand, prec + 1)}"
         return f"({body})" if prec < parent_prec else body
     assert isinstance(expr, Binary)
-    prec = _prec_of(expr)
+    prec = _PREC[expr.op]
     # Right operand of a left-associative chain needs parens at equal precedence;
     # comparisons do not chain at all, so neither of their operands may be one.
     left = _render(expr.left, prec + 1 if prec == _PREC["=="] else prec)

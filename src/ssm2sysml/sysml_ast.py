@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Union
+from typing import Container, Iterable, Iterator, Union
 
 from .errors import AmbiguousName, UnknownElement
 from .exprs import Expr
@@ -268,6 +268,14 @@ class Element:
     @property
     def is_def(self) -> bool:
         return self.kind in DEF_KINDS
+
+
+def bound(apps: Iterable[Element], meta_def: str, attr: str) -> Iterator[Expr]:
+    """Values bound to `attr` by those metadata applications whose definition's
+    last segment is `meta_def`, in order."""
+    for app in apps:
+        if app.meta_def and app.meta_def[-1] == meta_def:
+            yield from (value for name, value in app.bindings if name == attr)
 
 
 # --- traversal and resolution ------------------------------------------------

@@ -223,15 +223,12 @@ def _form(el: Element) -> tuple | None:
 
 
 def _declarator(el: Element) -> str:
-    form = _form(el)
-    if form is None:
-        raise UnsupportedElement(f"no emission rule for element kind {el.kind}")
     bits: list[str] = []
     if el.direction:
         bits.append(el.direction)
     if el.is_ref:
         bits.append("ref")
-    bits.append(form[0])
+    bits.append(_form(el)[0])
     if el.name:
         bits.append(name_text(el.name))
 
@@ -358,32 +355,6 @@ def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
         raise ParseError(ts.current.span, str(exc)) from exc
 
 
-def _parse_metadata_application(ts: TokenStream) -> Element:
-    start = ts.expect("@")
-    meta_def = _parse_qname(ts, "metadata definition name")
-    bindings: list[tuple[str, Expr]] = []
-    if ts.at("{"):
-        ts.take()
-        while not ts.at("}"):
-            attr = ts.current
-            if attr.kind not in (IDENT, QNAME):
-                raise ts.error(("attribute name", "'}'"))
-            ts.take()
-            ts.expect("=")
-            value = parse_expr(ts)
-            ts.expect(";")
-            bindings.append((attr.value, value))
-        end = ts.take()
-    else:
-        end = ts.expect(";")
-    return Element(
-        ElementKind.METADATA,
-        meta_def=meta_def,
-        bindings=tuple(bindings),
-        span=start.through(end),
-    )
-
-
 _FILTER_OPS = {"or": (1, FOr), "and": (2, FAnd)}
 _FILTER_NOT = 3  # `not` binds tighter than `and` and `or`
 
@@ -479,7 +450,27 @@ def _parse_body(ts: TokenStream, fields: dict) -> None:
 
 
 def _metadata_statement(ts: TokenStream, fields: dict) -> None:
-    fields["children"].append(_parse_metadata_application(ts))
+    start = ts.take()
+    meta_def = _parse_qname(ts, "metadata definition name")
+    bindings: list[tuple[str, Expr]] = []
+    if ts.at("{"):
+        ts.take()
+        while not ts.at("}"):
+            attr = ts.current
+            if attr.kind not in (IDENT, QNAME):
+                raise ts.error(("attribute name", "'}'"))
+            ts.take()
+            ts.expect("=")
+            value = parse_expr(ts)
+            ts.expect(";")
+            bindings.append((attr.value, value))
+        end = ts.take()
+    else:
+        end = ts.expect(";")
+    span = start.through(end)
+    fields["children"].append(
+        Element(ElementKind.METADATA, meta_def=meta_def, bindings=tuple(bindings), span=span)
+    )
 
 
 def _doc_statement(ts: TokenStream, fields: dict) -> None:
@@ -571,6 +562,8 @@ _PHRASES.update((form[0], form) for form in FORMS)
 _SUPPORTED = tuple(sorted(w for w in _PHRASES if " " not in w and f"{w} def" in _PHRASES))
 
 _INLINE_REL = {":>>": RelKind.REDEFINES, ":>": RelKind.SUBSETS, ":": RelKind.TYPING}
+# Each declarator clause's rank in the order docs/GRAMMAR.md gives; `by` only for actions.
+_CLAUSE_RANK = {**dict.fromkeys(_INLINE_REL, 0), "[": 1, "=": 2, "by": 3}
 
 
 def _parse_declaration(ts: TokenStream) -> Element:
@@ -591,49 +584,45 @@ def _parse_declaration(ts: TokenStream) -> Element:
         word = ts.keyword()
 
     special = _SPECIAL_DECLARATIONS.get(word)
-    if special is not None:
-        if direction is not None or is_ref:
-            raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
-        return special(ts)
-    if word not in _PHRASES:
-        raise ts.error(("an element declaration",))
-    ts.take()
-    while f"{word} {ts.keyword()}" in _PHRASES:
-        word += " " + ts.take().value
-    form = _PHRASES[word]
-    if isinstance(form, str):  # a proper prefix only, such as `use` without `case`
-        raise ts.error((form if form == "def" else repr(form),))
-    _, kind, fixed, prefixable = form
-    if (direction is not None or is_ref) and not prefixable:
+    if special is None:
+        if word not in _PHRASES:
+            raise ts.error(("an element declaration",))
+        ts.take()
+        while f"{word} {ts.keyword()}" in _PHRASES:
+            word += " " + ts.take().value
+        form = _PHRASES[word]
+        if isinstance(form, str):  # a proper prefix only, such as `use` without `case`
+            raise ts.error((form if form == "def" else repr(form),))
+    if (direction is not None or is_ref) and (special is not None or not form[3]):
         raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
+    if special is not None:
+        return special(ts)
+    _, kind, fixed, _ = form
 
     fields = {key: [] for key in _SEQUENCES}
     if fixed:
         fields[fixed[0]] = fixed[1]
     fields.update(kind=kind, name=_parse_element_name(ts), direction=direction, is_ref=is_ref)
+    last, last_rank = "", 0  # the previous clause's keyword and rank
     while True:
         word = ts.keyword()
-        if (word in _INLINE_REL or word == "[") and "value" in fields:  # after `=`
-            raise ParseError(
-                ts.current.span, f"{word!r} may not follow '=' in a declaration", found=word
-            )
+        rank = _CLAUSE_RANK.get(word)
+        if rank is None or word == "by" and kind is not ElementKind.ACTION:
+            break
+        if rank < last_rank or rank == last_rank > 0:  # relations alone may repeat
+            rule = f"may not follow {last!r}" if rank < last_rank else "may occur only once"
+            raise ParseError(ts.current.span, f"{word!r} {rule} in a declaration", found=word)
+        last, last_rank = ts.take().value, rank
         if word in _INLINE_REL:
-            ts.take()
             fields["relationships"].append(Relationship(_INLINE_REL[word], _parse_qname(ts)))
         elif word == "[":
-            _claim(ts, fields, "multiplicity")
             fields["multiplicity"] = _parse_multiplicity(ts)
-        elif word == "=":
-            _claim(ts, fields, "value")  # a binding, too, leaving `value` at None
-            if kind is ElementKind.ATTRIBUTE:
-                fields["value"] = parse_expr(ts)
-            else:
-                fields["relationships"].append(Relationship(RelKind.BINDING, _parse_qname(ts)))
-        elif word == "by" and kind is ElementKind.ACTION:
-            _claim(ts, fields, "performer")
+        elif word == "by":
             fields["performer"] = _parse_qname(ts, "performer name")
+        elif kind is ElementKind.ATTRIBUTE:  # `=` sets an attribute's value, or else a binding
+            fields["value"] = parse_expr(ts)
         else:
-            break
+            fields["relationships"].append(Relationship(RelKind.BINDING, _parse_qname(ts)))
 
     if ts.at("{"):
         ts.enter()

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UnknownMetadataDef, UnknownType
-from .exprs import Expr
 from .sysml_ast import (
     Element,
     ElementKind,
@@ -40,6 +39,7 @@ from .sysml_ast import (
     Position,
     QName,
     RelKind,
+    bound,
     iter_walk,
     qname,
     qname_text,
@@ -224,12 +224,8 @@ def _matches(index: ModelIndex, position: Position, expr: FilterExpr) -> bool:
             for app in index.effective_metadata(*position)
         )
     if isinstance(expr, FMetaEq):
-        return any(
-            app.meta_def
-            and app.meta_def[-1] == expr.metadata_def[-1]
-            and _binding_equals(app, expr.attribute, expr.literal)
-            for app in index.effective_metadata(*position)
-        )
+        apps = index.effective_metadata(*position)
+        return expr.literal in bound(apps, expr.metadata_def[-1], expr.attribute)
     if isinstance(expr, FTyped):
         return any(
             _names_match(*reached, expr.type_name) for reached in index.typed_by(*position)[1:]
@@ -237,10 +233,6 @@ def _matches(index: ModelIndex, position: Position, expr: FilterExpr) -> bool:
     if isinstance(expr, FKind):
         return position[0].kind.value == expr.kind
     raise TypeError(f"not a filter expression: {expr!r}")
-
-
-def _binding_equals(app: Element, attribute: str, literal: Expr) -> bool:
-    return any(attr == attribute and value == literal for attr, value in app.bindings)
 
 
 def _names_match(element: Element, path: QName, type_name: QName) -> bool:

@@ -714,6 +714,12 @@ def test_trace_unknown_kind_exits_2(compiled, capsys):
     assert "teleports" in capsys.readouterr().err
 
 
+def test_trace_checks_kinds_before_reading_the_model(tmp_path, capsys):
+    missing = str(tmp_path / "missing.sysml")
+    assert main(["trace", missing, "--from", "P", "--kinds", "teleports"]) == 2
+    assert capsys.readouterr().err == "unknown edge kinds: teleports\n"
+
+
 def test_trace_directions_are_exclusive(compiled):
     with pytest.raises(SystemExit):
         main(["trace", str(compiled), "--from", "x", "--forward", "--backward"])
@@ -736,6 +742,18 @@ def test_view_json(compiled, capsys):
 def test_view_unknown_exits_2(compiled, capsys):
     assert main(["view", str(compiled), "noSuchView"]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "atom, message",
+    [("@Nope", "unknown metadata definition 'Nope'"), ("istype Missing", "unknown type 'Missing'")],
+    ids=["metadata", "type"],
+)
+def test_view_filter_naming_nothing_exits_2(tmp_path, capsys, atom, message):
+    target = tmp_path / "filtered.sysml"
+    target.write_text(f"package P {{ part x; view v {{ expose x; filter {atom}; }} }}\n")
+    assert main(["view", str(target), "v"]) == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_explain_rule(capsys):

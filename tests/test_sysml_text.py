@@ -219,6 +219,31 @@ def test_a_relation_or_multiplicity_after_equals_is_refused(body, word, column):
     assert (error.span.start_line, error.span.start_col, error.found) == (1, column, word)
 
 
+@pytest.mark.parametrize(
+    "body,word,after,column",
+    [
+        ("part x [1] : T;", ":", "[", 24),
+        ("action a by p : T;", ":", "by", 27),
+        ("action a by p [1];", "[", "by", 27),
+        ("action a by p = x;", "=", "by", 27),
+    ],
+    ids=["typing-after-multiplicity", "typing-after-by", "multiplicity-after-by",
+         "binding-after-by"],
+)
+def test_a_clause_out_of_declarator_order_is_refused(body, word, after, column):
+    """Relations, `[...]`, `=` and `by` come in that order, the one in which `emit` writes them."""
+    with pytest.raises(ParseError) as exc:
+        parse_sysml(f"package P {{ {body} }}", "d")
+    error = exc.value
+    assert error.message == f"{word!r} may not follow {after!r} in a declaration"
+    assert (error.span.start_line, error.span.start_col, error.found) == (1, column, word)
+
+
+def test_every_declarator_clause_in_order_round_trips():
+    text = "package P {\n    action a : T [1] = b by p;\n}\n"
+    assert emit(parse_sysml(text, "d")) == text
+
+
 _T, _B, _R = (Relationship(k, ("t",)) for k in (RelKind.TYPING, RelKind.BINDING, RelKind.REFINES))
 
 
