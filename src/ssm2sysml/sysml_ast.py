@@ -71,39 +71,41 @@ class ElementKind(enum.Enum):
     METADATA = "metadata"  # metadata application, @Def { ... }
 
 
-# Each declaration form: its keywords, its kind, the one field the keywords fix (or
-# None) and whether `in`, `out` and `ref` may precede it.  `emit` writes a kind's
-# first row that matches, so rows fixing a field come first, `decide` before `perform`.
-FORMS: tuple[tuple[str, ElementKind, tuple[str, object] | None, bool], ...] = (
-    ("package", ElementKind.PACKAGE, None, False),
-    ("metadata def", ElementKind.METADATA_DEF, None, False),
-    ("enum def", ElementKind.ENUM_DEF, None, False),
-    ("attribute def", ElementKind.ATTRIBUTE_DEF, None, False),
-    ("attribute", ElementKind.ATTRIBUTE, None, True),
-    ("individual def", ElementKind.INDIVIDUAL_DEF, None, False),
-    ("individual", ElementKind.INDIVIDUAL, None, True),
-    ("part def", ElementKind.PART_DEF, None, False),
-    ("part", ElementKind.PART, None, True),
-    ("item def", ElementKind.ITEM_DEF, None, False),
-    ("item", ElementKind.ITEM, None, True),
-    ("requirement def", ElementKind.REQUIREMENT_DEF, None, False),
-    ("objective", ElementKind.REQUIREMENT, ("is_objective", True), False),
-    ("requirement", ElementKind.REQUIREMENT, None, True),
-    ("concern def", ElementKind.CONCERN_DEF, None, False),
-    ("concern", ElementKind.CONCERN, None, True),
-    ("stakeholder", ElementKind.STAKEHOLDER, None, True),
-    ("viewpoint def", ElementKind.VIEWPOINT_DEF, None, False),
-    ("viewpoint", ElementKind.VIEWPOINT, None, True),
-    ("view", ElementKind.VIEW, None, True),
-    ("use case def", ElementKind.USE_CASE_DEF, None, False),
-    ("use case", ElementKind.USE_CASE, None, False),
-    ("actor", ElementKind.ACTOR, None, True),
-    ("subject", ElementKind.SUBJECT, None, True),
-    ("decide", ElementKind.ACTION, ("flavor", "decide"), False),
-    ("perform action", ElementKind.ACTION, ("is_perform", True), False),
-    ("action", ElementKind.ACTION, None, False),
-    ("state", ElementKind.STATE, None, True),
+# Each declaration form: its keywords, its kind, the one field the keywords fix (or None)
+# and the fields it writes beyond that one and the `BODY_FIELDS` every form writes; it takes
+# `in`, `out` and `ref` when they include `direction is_ref`.  `emit` writes a kind's first
+# row that matches, so rows fixing a field come first, `decide` before `perform`.
+FORMS: tuple[tuple[str, ElementKind, tuple[str, object] | None, str], ...] = (
+    ("package", ElementKind.PACKAGE, None, ""),
+    ("metadata def", ElementKind.METADATA_DEF, None, ""),
+    ("enum def", ElementKind.ENUM_DEF, None, "enum_literals"),
+    ("attribute def", ElementKind.ATTRIBUTE_DEF, None, ""),
+    ("attribute", ElementKind.ATTRIBUTE, None, "direction is_ref value"),
+    ("individual def", ElementKind.INDIVIDUAL_DEF, None, ""),
+    ("individual", ElementKind.INDIVIDUAL, None, "direction is_ref"),
+    ("part def", ElementKind.PART_DEF, None, ""),
+    ("part", ElementKind.PART, None, "direction is_ref"),
+    ("item def", ElementKind.ITEM_DEF, None, ""),
+    ("item", ElementKind.ITEM, None, "direction is_ref"),
+    ("requirement def", ElementKind.REQUIREMENT_DEF, None, ""),
+    ("objective", ElementKind.REQUIREMENT, ("is_objective", True), ""),
+    ("requirement", ElementKind.REQUIREMENT, None, "direction is_ref"),
+    ("concern def", ElementKind.CONCERN_DEF, None, ""),
+    ("concern", ElementKind.CONCERN, None, "direction is_ref"),
+    ("stakeholder", ElementKind.STAKEHOLDER, None, "direction is_ref"),
+    ("viewpoint def", ElementKind.VIEWPOINT_DEF, None, ""),
+    ("viewpoint", ElementKind.VIEWPOINT, None, "direction is_ref"),
+    ("view", ElementKind.VIEW, None, "direction is_ref"),
+    ("use case def", ElementKind.USE_CASE_DEF, None, ""),
+    ("use case", ElementKind.USE_CASE, None, ""),
+    ("actor", ElementKind.ACTOR, None, "direction is_ref"),
+    ("subject", ElementKind.SUBJECT, None, "direction is_ref"),
+    ("decide", ElementKind.ACTION, ("flavor", "decide"), "performer"),
+    ("perform action", ElementKind.ACTION, ("is_perform", True), "performer"),
+    ("action", ElementKind.ACTION, None, "performer"),
+    ("state", ElementKind.STATE, None, "direction is_ref entry_action do_action"),
 )
+BODY_FIELDS = "name relationships multiplicity doc filter assignments successions children"
 
 DEF_KINDS = frozenset(kind for phrase, kind, _, _ in FORMS if phrase.endswith(" def"))
 
@@ -111,21 +113,18 @@ DEF_KINDS = frozenset(kind for phrase, kind, _, _ in FORMS if phrase.endswith(" 
 SEGMENT_FORM = re.compile("(?:" + "|".join(kind.value for kind in ElementKind) + ")@[0-9]+")
 
 
+# Each relationship kind, valued by the keyword that writes it: a symbol in the
+# declarator, or the word that starts a body statement.
 class RelKind(enum.Enum):
     TYPING = ":"
     SUBSETS = ":>"
     REDEFINES = ":>>"
     REFINES = "refines"
-    FRAMES = "frames"
-    SATISFIES = "satisfies"
-    EXPOSES = "exposes"
+    FRAMES = "frame"
+    SATISFIES = "satisfy"
+    EXPOSES = "expose"
     BINDING = "="
     REFERENCES = "references"
-
-
-# Relationship kinds written inline in the declarator; the rest are body
-# statements.  Within Element.relationships the inline ones come first.
-INLINE_REL_KINDS = (RelKind.TYPING, RelKind.SUBSETS, RelKind.REDEFINES, RelKind.BINDING)
 
 
 @dataclass(frozen=True, slots=True)

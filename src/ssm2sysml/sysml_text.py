@@ -6,10 +6,14 @@ subset.  Grammar reference: docs/GRAMMAR.md.
 """
 from __future__ import annotations
 
+import dataclasses
+from operator import attrgetter
+
 from .errors import ParseError, UnsupportedConstruct, UnsupportedElement
 from .exprs import Expr, expr_to_text, parse_expr, parse_operand
 from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, QNAME, TokenStream, iter_lex, quote
 from .sysml_ast import (
+    BODY_FIELDS,
     Assignment,
     Element,
     ElementKind,
@@ -22,7 +26,6 @@ from .sysml_ast import (
     FOr,
     FTyped,
     FilterExpr,
-    INLINE_REL_KINDS,
     Multiplicity,
     QName,
     RelKind,
@@ -46,18 +49,36 @@ UNSUPPORTED_KEYWORDS = frozenset(
     dependency event exhibit""".split()
 )
 
-_KIND_FORMS = {kind: [form for form in FORMS if form[1] is kind] for kind in ElementKind}
+# The notations `emit` writes apart from FORMS, in its shape: each writes one line of just
+# the fields it lists, a required one marked '!'.  `send` and `accept` come before `action`.
+_LINE_FORMS = (
+    ("comment", ElementKind.COMMENT, None, "doc!"),
+    ("@", ElementKind.METADATA, None, "meta_def! bindings"),
+    ("transition", ElementKind.TRANSITION, None, "name source! target! trigger guard effect"),
+    ("constraint", ElementKind.CONSTRAINT, None, "name constraint_kind constraint_expr!"),
+    ("send", ElementKind.ACTION, ("flavor", "send"), "signal!"),
+    ("accept", ElementKind.ACTION, ("flavor", "accept"), "signal!"),
+)
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Element) if f.compare}
+del _DEFAULTS["kind"]
 
-_STATEMENT_REL = {
-    RelKind.REFINES: "refines",
-    RelKind.FRAMES: "frame",
-    RelKind.SATISFIES: "satisfy",
-    RelKind.EXPOSES: "expose",
-    RelKind.REFERENCES: "references",
-}
-_STATEMENT_KEYWORD_TO_REL = {v: k for k, v in _STATEMENT_REL.items()}
-# The order `emit` writes relationships in: inline relations, the binding, then statements.
-_REL_RANK = {kind: 2 if kind in _STATEMENT_REL else kind is RelKind.BINDING for kind in RelKind}
+
+def _notation(row: tuple, writes: str) -> tuple:
+    """`row`, the fields it does not write, a getter of them, their defaults and the
+    fields it requires; `writes` names the fields it writes beside its fixed one."""
+    written = {word.strip("!") for word in writes.split()} | {row[2] and row[2][0]}
+    unwritten = tuple(name for name in _DEFAULTS if name not in written)
+    required = tuple(word[:-1] for word in writes.split() if word.endswith("!"))
+    return row, unwritten, attrgetter(*unwritten), tuple(map(_DEFAULTS.get, unwritten)), required
+
+
+_NOTATIONS = [_notation(row, row[3]) for row in _LINE_FORMS]
+_NOTATIONS += [_notation(row, f"{row[3]} {BODY_FIELDS}") for row in FORMS]
+_KIND_NOTATIONS = {kind: [n for n in _NOTATIONS if n[0][1] is kind] for kind in ElementKind}
+
+# The order `emit` writes relationships in: inline relations, the binding, then the
+# statements, each named by a word.
+_REL_RANK = {kind: 2 if kind.value.isalpha() else kind is RelKind.BINDING for kind in RelKind}
 
 
 _INDENT = "    "
@@ -142,33 +163,26 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
     pad = _INDENT * depth
     if el.name and "@" in el.name and SEGMENT_FORM.fullmatch(el.name):
         raise UnsupportedElement(f"name {el.name!r} spells an unnamed element's segment")
-    if el.direction or el.is_ref:
-        form = _form(el)
-        if form is None or not form[3] or el.is_objective:  # an objective of any kind takes none
-            kind = "objective" if el.is_objective else el.kind.value
-            field_name = "direction" if el.direction else "is_ref"
-            raise UnsupportedElement(f"an element of kind {kind} takes no {field_name}")
+    form, unwritten, values, defaults, required = _form(el)
+    word = form[0]
+    if values(el) != defaults:
+        field = next(name for name, d in zip(unwritten, defaults) if getattr(el, name) != d)
+        kind = "objective" if word == "objective" else el.kind.value
+        raise UnsupportedElement(f"an element of kind {kind} takes no {field}")
+    for field in required:
+        if getattr(el, field) is None:
+            raise UnsupportedElement(f"an element of kind {el.kind.value} lacks its {field}")
 
-    if el.kind is ElementKind.COMMENT:
-        lines.append(f"{pad}comment {_block_text(el.doc or '', 'comment')}")
+    if word == "comment":
+        lines.append(f"{pad}comment {_block_text(el.doc, 'comment')}")
         return
 
-    if el.kind is ElementKind.METADATA:
-        if el.meta_def is None:
-            raise UnsupportedElement("metadata application lacks a target definition")
-        head = f"{pad}@{qname_to_text(el.meta_def)}"
-        if el.bindings:
-            parts = " ".join(
-                f"{name_text(attr)} = {expr_to_text(value)};" for attr, value in el.bindings
-            )
-            lines.append(f"{head} {{ {parts} }}")
-        else:
-            lines.append(f"{head};")
+    if word == "@":
+        parts = "".join(f" {name_text(a)} = {expr_to_text(v)};" for a, v in el.bindings)
+        lines.append(f"{pad}@{qname_to_text(el.meta_def)}" + (f" {{{parts} }}" if parts else ";"))
         return
 
-    if el.kind is ElementKind.TRANSITION:
-        if el.source is None or el.target is None:
-            raise UnsupportedElement("transition lacks source/target states")
+    if word == "transition":
         bits = [f"{pad}transition"]
         if el.name:
             bits.append(name_text(el.name))
@@ -183,27 +197,17 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
         lines.append(" ".join(bits) + ";")
         return
 
-    if el.kind is ElementKind.ACTION and el.flavor in ("send", "accept"):
-        if el.signal is None:
-            raise UnsupportedElement(f"{el.flavor} action lacks a signal name")
-        if el != Element(ElementKind.ACTION, flavor=el.flavor, signal=el.signal):
-            raise UnsupportedElement(f"a {el.flavor} action holds nothing but its signal name")
-        lines.append(f"{pad}{el.flavor} {qname_to_text(el.signal)};")
+    if word in ("send", "accept"):
+        lines.append(f"{pad}{word} {qname_to_text(el.signal)};")
         return
 
-    if el.kind is ElementKind.CONSTRAINT:
-        if el.constraint_expr is None:
-            raise UnsupportedElement("constraint element lacks an expression")
-        head = pad
-        if el.constraint_kind:
-            head += el.constraint_kind + " "
-        head += "constraint"
-        if el.name:
-            head += " " + name_text(el.name)
-        lines.append(f"{head} {{ {expr_to_text(el.constraint_expr)} }}")
+    if word == "constraint":
+        bits = (el.constraint_kind, "constraint", el.name and name_text(el.name))
+        head = " ".join(bit for bit in bits if bit)
+        lines.append(f"{pad}{head} {{ {expr_to_text(el.constraint_expr)} }}")
         return
 
-    declarator = _declarator(el)
+    declarator = _declarator(el, form)
     body = _body_lines(el, depth + 1)
     if body:
         lines.append(f"{pad}{declarator} {{")
@@ -213,22 +217,22 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
         lines.append(f"{pad}{declarator};")
 
 
-def _form(el: Element) -> tuple | None:
-    """The first of its kind's rows in FORMS whose fixed field the element has, if any."""
-    for form in _KIND_FORMS.get(el.kind, ()):
-        fixed = form[2]
+def _form(el: Element) -> tuple:
+    """The first of its kind's notations whose fixed field the element has, as `_notation`
+    gives it; each kind has one that fixes none."""
+    for notation in _KIND_NOTATIONS[el.kind]:
+        fixed = notation[0][2]
         if fixed is None or getattr(el, fixed[0]) == fixed[1]:
-            return form
-    return None
+            return notation
 
 
-def _declarator(el: Element) -> str:
+def _declarator(el: Element, form: tuple) -> str:
     bits: list[str] = []
     if el.direction:
         bits.append(el.direction)
     if el.is_ref:
         bits.append("ref")
-    bits.append(_form(el)[0])
+    bits.append(form[0])
     if el.name:
         bits.append(name_text(el.name))
 
@@ -245,12 +249,12 @@ def _declarator(el: Element) -> str:
         if rel.kind is RelKind.BINDING:
             if binding is not None or el.value is not None:
                 raise UnsupportedElement("an element takes at most one '=' clause")
-            if el.kind is ElementKind.ATTRIBUTE:  # its '=' reads back as a value
+            if "value" in form[3]:  # its '=' reads back as a value
                 raise UnsupportedElement(
-                    "an element of kind attribute takes no BINDING relationship"
+                    f"an element of kind {el.kind.value} takes no BINDING relationship"
                 )
             binding = rel
-        elif rel.kind in INLINE_REL_KINDS:
+        elif not rank:
             bits.append(f"{rel.kind.value} {qname_to_text(rel.target)}")
     if el.multiplicity is not None:
         bits.append(_mult_text(el.multiplicity))
@@ -275,9 +279,8 @@ def _body_lines(el: Element, depth: int) -> list[str]:
     if el.do_action is not None:
         out.append(f"{pad}do {qname_to_text(el.do_action)};")
     for rel in el.relationships:
-        keyword = _STATEMENT_REL.get(rel.kind)
-        if keyword:
-            out.append(f"{pad}{keyword} {qname_to_text(rel.target)};")
+        if _REL_RANK[rel.kind] == 2:
+            out.append(f"{pad}{rel.kind.value} {qname_to_text(rel.target)};")
     if el.filter is not None:
         out.append(f"{pad}filter {filter_to_text(el.filter)};")
     for child in el.children:
@@ -425,21 +428,17 @@ def _claim(ts: TokenStream, fields: dict, field: str) -> None:
     ts.take()
 
 
-def _parse_body(ts: TokenStream, fields: dict) -> None:
-    """Parse member statements into `fields` up to, not including, the closing '}'."""
-    kind = fields["kind"]
-    statements = _STATE_STATEMENTS if kind is ElementKind.STATE else _STATEMENTS
+def _parse_body(ts: TokenStream, fields: dict, writes: str) -> None:
+    """Parse member statements into `fields` up to, not including, the closing '}';
+    `writes` is the form's fourth column in FORMS."""
+    statements = _STATE_STATEMENTS if "entry_action" in writes else _STATEMENTS
     while not ts.at("}"):
-        tok = ts.current
         statement = statements.get(ts.keyword())
         if statement is not None:
             statement(ts, fields)
-        elif tok.kind == EOF:
+        elif ts.current.kind == EOF:
             raise ts.error(("'}'",))
-        elif kind is ElementKind.ENUM_DEF and tok.kind in (IDENT, QNAME):
-            name = _parse_name(ts)
-            if name is None:
-                raise ts.error(("enum literal name",))
+        elif "enum_literals" in writes and (name := _parse_name(ts)) is not None:
             ts.expect(";")
             fields["enum_literals"].append(name)
         else:
@@ -486,7 +485,7 @@ def _comment_statement(ts: TokenStream, fields: dict) -> None:
 
 
 def _relationship_statement(ts: TokenStream, fields: dict) -> None:
-    kind = _STATEMENT_KEYWORD_TO_REL[ts.take().value]
+    kind = RelKind(ts.take().value)
     target = _parse_qname(ts)
     ts.expect(";")
     fields["relationships"].append(Relationship(kind, target))
@@ -541,7 +540,7 @@ _STATEMENTS = {
     "@": _metadata_statement,
     "doc": _doc_statement,
     "comment": _comment_statement,
-    **dict.fromkeys(_STATEMENT_KEYWORD_TO_REL, _relationship_statement),
+    **{kind.value: _relationship_statement for kind in RelKind if _REL_RANK[kind] == 2},
     "filter": _filter_statement,
     "first": _succession_statement,
     "assign": _assign_statement,
@@ -561,9 +560,10 @@ _PHRASES.update((form[0], form) for form in FORMS)
 # The one-word keywords that `def` follows: the error for a construct outside the subset lists them.
 _SUPPORTED = tuple(sorted(w for w in _PHRASES if " " not in w and f"{w} def" in _PHRASES))
 
-_INLINE_REL = {":>>": RelKind.REDEFINES, ":>": RelKind.SUBSETS, ":": RelKind.TYPING}
-# Each declarator clause's rank in the order docs/GRAMMAR.md gives; `by` only for actions.
-_CLAUSE_RANK = {**dict.fromkeys(_INLINE_REL, 0), "[": 1, "=": 2, "by": 3}
+# Each declarator clause's rank in the order docs/GRAMMAR.md gives: the inline relations
+# first; `by` only where the form writes `performer`.
+_CLAUSE_RANK = {kind.value: 0 for kind in RelKind if not _REL_RANK[kind]}
+_CLAUSE_RANK.update({"[": 1, "=": 2, "by": 3})
 
 
 def _parse_declaration(ts: TokenStream) -> Element:
@@ -593,11 +593,11 @@ def _parse_declaration(ts: TokenStream) -> Element:
         form = _PHRASES[word]
         if isinstance(form, str):  # a proper prefix only, such as `use` without `case`
             raise ts.error((form if form == "def" else repr(form),))
-    if (direction is not None or is_ref) and (special is not None or not form[3]):
+    if (direction is not None or is_ref) and (special is not None or "is_ref" not in form[3]):
         raise ParseError(first.span, f"{word!r} takes no {first.value!r} prefix")
     if special is not None:
         return special(ts)
-    _, kind, fixed, _ = form
+    _, kind, fixed, writes = form
 
     fields = {key: [] for key in _SEQUENCES}
     if fixed:
@@ -607,26 +607,26 @@ def _parse_declaration(ts: TokenStream) -> Element:
     while True:
         word = ts.keyword()
         rank = _CLAUSE_RANK.get(word)
-        if rank is None or word == "by" and kind is not ElementKind.ACTION:
+        if rank is None or word == "by" and "performer" not in writes:
             break
         if rank < last_rank or rank == last_rank > 0:  # relations alone may repeat
             rule = f"may not follow {last!r}" if rank < last_rank else "may occur only once"
             raise ParseError(ts.current.span, f"{word!r} {rule} in a declaration", found=word)
         last, last_rank = ts.take().value, rank
-        if word in _INLINE_REL:
-            fields["relationships"].append(Relationship(_INLINE_REL[word], _parse_qname(ts)))
+        if not rank:
+            fields["relationships"].append(Relationship(RelKind(word), _parse_qname(ts)))
         elif word == "[":
             fields["multiplicity"] = _parse_multiplicity(ts)
         elif word == "by":
             fields["performer"] = _parse_qname(ts, "performer name")
-        elif kind is ElementKind.ATTRIBUTE:  # `=` sets an attribute's value, or else a binding
+        elif "value" in writes:  # `=` sets the value the form writes, or else a binding
             fields["value"] = parse_expr(ts)
         else:
             fields["relationships"].append(Relationship(RelKind.BINDING, _parse_qname(ts)))
 
     if ts.at("{"):
         ts.enter()
-        _parse_body(ts, fields)
+        _parse_body(ts, fields, writes)
         ts.leave()
     elif not ts.at(";"):
         raise ts.error(("';'", "'{'"))
@@ -660,21 +660,12 @@ def _parse_transition(ts: TokenStream) -> Element:
 
 def _parse_constraint(ts: TokenStream) -> Element:
     start = ts.current
-    constraint_kind: str | None = None
-    if start.value in ("require", "assume", "assert"):
-        constraint_kind = ts.take().value
+    fields = {"constraint_kind": None if start.value == "constraint" else ts.take().value}
     ts.expect("constraint")
-    name = _parse_element_name(ts)
+    fields["name"] = _parse_element_name(ts)
     ts.expect("{")
-    expr = parse_expr(ts)
-    end = ts.expect("}")
-    return Element(
-        ElementKind.CONSTRAINT,
-        name=name,
-        constraint_kind=constraint_kind,
-        constraint_expr=expr,
-        span=start.through(end),
-    )
+    fields["constraint_expr"] = parse_expr(ts)
+    return Element(ElementKind.CONSTRAINT, span=start.through(ts.expect("}")), **fields)
 
 
 _SPECIAL_DECLARATIONS = {

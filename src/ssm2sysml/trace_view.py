@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnknownMetadataDef, UnknownType
+from .errors import UnknownElement, UnknownMetadataDef, UnknownType
 from .sysml_ast import (
     Element,
     ElementKind,
@@ -185,7 +185,8 @@ def evaluate_filter(model: Element, expr: FilterExpr) -> set[QName]:
 
     Metadata tags are inherited through typing chains.  Raises
     UnknownMetadataDef / UnknownType when an atom names nothing in the
-    model.
+    model, and UnknownElement when no such metadata definition declares
+    the attribute an atom compares.
     """
     index = ModelIndex(model)
     _validate_atoms(index, expr)
@@ -200,11 +201,14 @@ def _validate_atoms(index: ModelIndex, expr: FilterExpr) -> None:
         _validate_atoms(index, expr.operand)
     elif isinstance(expr, (FHasMeta, FMetaEq)):
         name = expr.metadata_def[-1]
-        if not any(
-            el.kind is ElementKind.METADATA_DEF and el.name == name
-            for el, _ in iter_walk(index.model)
-        ):
-            raise UnknownMetadataDef(name)
+        found = False  # a definition of that name; stop at one that declares the attribute
+        for el, _ in iter_walk(index.model):
+            if el.kind is ElementKind.METADATA_DEF and el.name == name:
+                found = True
+                members = {member.name for member in el.children}
+                if not isinstance(expr, FMetaEq) or expr.attribute in members:
+                    return
+        raise UnknownElement(f"{name}.{expr.attribute}", name) if found else UnknownMetadataDef(name)
     elif isinstance(expr, FTyped):
         name = expr.type_name[-1]
         if not any(el.name == name and el.is_def for el, _ in iter_walk(index.model)):

@@ -756,6 +756,23 @@ def test_view_filter_naming_nothing_exits_2(tmp_path, capsys, atom, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "attribute, code", [("nope", 2), ("element", 0)], ids=["undeclared", "declared"]
+)
+def test_view_filter_on_an_attribute_no_definition_declares_exits_2(
+    tmp_path, compiled, capsys, attribute, code
+):
+    satisfy = "satisfy licenseManagement;"
+    assert compiled.read_text().count(satisfy) == 1
+    target = tmp_path / "filtered.sysml"
+    target.write_text(compiled.read_text().replace(
+        satisfy, f"{satisfy} expose Context; filter @CATWOE.{attribute} == 1;"
+    ))
+    assert main(["view", str(target), "License Allocation"]) == code
+    err = capsys.readouterr().err
+    assert ("CATWOE.nope" in err, "internal error" in err) == (code == 2, False)
+
+
 def test_explain_rule(capsys):
     assert main(["explain", "R-ACT-1"]) == 0
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pathlib
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,7 +17,17 @@ from ssm2sysml import (
     parse_sysml,
 )
 from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
-from ssm2sysml.sysml_ast import DEF_KINDS, FORMS, Relationship, RelKind, iter_walk
+from ssm2sysml.sysml_ast import (
+    DEF_KINDS,
+    FORMS,
+    Assignment,
+    FKind,
+    Multiplicity,
+    Relationship,
+    RelKind,
+    Succession,
+    iter_walk,
+)
 
 from model_gen import gen_expr, gen_model, kitchen_sink, package
 
@@ -444,8 +454,113 @@ def test_emit_refuses_a_prefix_the_grammar_does_not_admit(element, field):
 def test_emit_refuses_what_a_signal_line_drops(flavor, extra):
     action = Element(ElementKind.ACTION, flavor=flavor, signal=("s",))
     assert parse_sysml(emit(package("P", action))) == package("P", action)
-    with pytest.raises(UnsupportedElement, match=f"^a {flavor} action holds nothing but"):
+    (field,) = extra
+    with pytest.raises(UnsupportedElement, match=f"kind action takes no {field}$"):
         emit(package("P", replace(action, **extra)))
+
+
+# A non-default value of every compared field of Element.  The children are a declaration
+# and a statement, so each body, an enum def's too, must read both back.
+SAMPLES = {
+    "name": "n",
+    "relationships": (Relationship(RelKind.TYPING, ("T",)), Relationship(RelKind.REFINES, ("R",))),
+    "multiplicity": Multiplicity(1, 2),
+    "direction": "out",
+    "is_ref": True,
+    "is_perform": True,
+    "flavor": "bogus",
+    "signal": ("s",),
+    "performer": ("p",),
+    "doc": "d",
+    "value": Lit(1),
+    "constraint_kind": "require",
+    "constraint_expr": Lit(True),
+    "is_objective": True,
+    "enum_literals": ("e", "f"),
+    "entry_action": ("a",),
+    "do_action": ("b",),
+    "source": "a",
+    "target": "b",
+    "trigger": ("t",),
+    "guard": Lit(False),
+    "effect": ("x",),
+    "meta_def": ("M",),
+    "bindings": (("k", Lit(1)),),
+    "assignments": (Assignment(("x",), Lit(2)),),
+    "successions": (Succession("a", "b"),),
+    "filter": FKind("part"),
+    "children": (Element(ElementKind.PART, name="c"), Element(ElementKind.COMMENT, doc="c")),
+}
+assert set(SAMPLES) == {f.name for f in fields(Element) if f.compare} - {"kind"}
+
+# What each notation writes, stated here apart from the tables `emit` reads: its name, its
+# kind, the fields its keywords fix, the fields it writes and the fields it requires.
+_BODY = "name relationships multiplicity doc filter assignments successions children"
+_OWN = {"enum def": "enum_literals", "attribute": "value", "state": "entry_action do_action"}
+_OWN.update(dict.fromkeys(("decide", "perform action", "action"), "performer"))
+NOTATIONS = [
+    (
+        phrase, kind, dict([fixed] if fixed else []),
+        f"{_BODY} {_OWN.get(phrase, '')}"
+        + (" direction is_ref" if kind in PREFIXABLE and not fixed else ""),
+        "",
+    )
+    for phrase, kind, fixed, _ in FORMS
+] + [
+    ("comment", ElementKind.COMMENT, {}, "doc", "doc"),
+    ("metadata", ElementKind.METADATA, {}, "meta_def bindings", "meta_def"),
+    ("transition", ElementKind.TRANSITION, {}, "name source target trigger guard effect",
+     "source target"),
+    ("constraint", ElementKind.CONSTRAINT, {}, "name constraint_kind constraint_expr",
+     "constraint_expr"),
+    ("send", ElementKind.ACTION, {"flavor": "send"}, "signal", "signal"),
+    ("accept", ElementKind.ACTION, {"flavor": "accept"}, "signal", "signal"),
+]
+# A field whose value makes the element another notation of its kind.
+_SELECTS = {("action", "is_perform"), ("requirement", "is_objective")}
+
+
+def _notation_element(kind, fixed, set_fields):
+    return Element(kind, **fixed, **{name: SAMPLES[name] for name in set_fields})
+
+
+@pytest.mark.parametrize(
+    "phrase, kind, fixed, required, field",
+    [
+        pytest.param(phrase, kind, fixed, required, field, id=f"{phrase}-{field}")
+        for phrase, kind, fixed, writes, required in NOTATIONS
+        for field in SAMPLES
+        if field not in writes.split() + list(fixed) and (phrase, field) not in _SELECTS
+    ],
+)
+def test_emit_refuses_a_field_its_notation_does_not_write(phrase, kind, fixed, required, field):
+    element = _notation_element(kind, fixed, required.split())
+    emit(package("P", element))
+    name = "objective" if phrase == "objective" else kind.value
+    with pytest.raises(UnsupportedElement, match=f"^an element of kind {name} takes no {field}$"):
+        emit(package("P", replace(element, **{field: SAMPLES[field]})))
+
+
+@pytest.mark.parametrize(
+    "kind, fixed, writes", [n[1:4] for n in NOTATIONS], ids=[n[0] for n in NOTATIONS]
+)
+def test_a_notation_with_every_field_it_writes_round_trips(kind, fixed, writes):
+    model = package("P", _notation_element(kind, fixed, writes.split()))
+    assert parse_sysml(emit(model), "p") == model
+
+
+@pytest.mark.parametrize(
+    "kind, fixed, writes, field",
+    [
+        pytest.param(*n[1:4], field, id=f"{n[0]}-{field}")
+        for n in NOTATIONS for field in n[4].split()
+    ],
+)
+def test_emit_refuses_a_notation_that_lacks_a_required_field(kind, fixed, writes, field):
+    element = replace(_notation_element(kind, fixed, writes.split()), **{field: None})
+    message = f"^an element of kind {kind.value} lacks its {field}$"
+    with pytest.raises(UnsupportedElement, match=message):
+        emit(package("P", element))
 
 
 GRAMMAR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "GRAMMAR.md"
@@ -479,8 +594,9 @@ def test_grammar_keyword_lists_are_the_declaration_forms():
     prefixable = {phrase for phrase in usages if f"ref {phrase}" in usages}
     unprefixed = {p for p in usages if p.split()[0] not in ("in", "out", "ref")} - prefixable
     assert defs == {phrase for phrase, kind, _, _ in FORMS if kind in DEF_KINDS}
-    assert prefixable == {phrase for phrase, _, _, prefixed in FORMS if prefixed}
+    assert prefixable == {phrase for phrase, _, _, writes in FORMS if "is_ref" in writes}
     # `package` is the file's own production, not a usage.
     assert unprefixed | {"package"} == {
-        phrase for phrase, kind, _, prefixed in FORMS if not prefixed and kind not in DEF_KINDS
+        phrase for phrase, kind, _, writes in FORMS
+        if "is_ref" not in writes and kind not in DEF_KINDS
     }
