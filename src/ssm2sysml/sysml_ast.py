@@ -4,10 +4,14 @@ The subset is closed: exactly the constructs the mapping and the
 conformance rules need.  Every node is an `Element` tagged with an
 `ElementKind`; the fields a kind does not use stay at their defaults.
 Elements are immutable after construction and structurally comparable;
-source spans never participate in equality.  The one exception is a
+`==` compares children through an explicit stack, so it works at any
+depth that `parse_sysml` reads.  The one exception to immutability is a
 memo slot, `_members`, which the first lookup into an element's
-namespace fills from its `children`; like the span, it is excluded from
-equality, hashing and `repr`.
+namespace fills from its `children`; like the source span, it takes no
+part in equality, hashing or `repr`.  The constructor comes from
+`source.one_pass_init`: it stores the fields through a mutable twin
+class with the same slots instead of one `object.__setattr__` call per
+field.
 
 `FORMS` is the one description of the declaration keywords; the parser
 and the emitter both read it.
@@ -16,12 +20,13 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Container, Iterable, Iterator, Union
 
 from .errors import AmbiguousName, UnknownElement
 from .exprs import Expr
-from .source import SourceSpan
+from .source import SourceSpan, one_pass_init
 
 QName = tuple[str, ...]
 
@@ -211,7 +216,8 @@ class FKind:
     kind: str
 
 
-@dataclass(frozen=True, slots=True)
+@one_pass_init
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
     """One node of the subset AST.  `kind` decides which fields matter."""
 
@@ -244,11 +250,27 @@ class Element:
     successions: tuple[Succession, ...] = ()
     filter: FilterExpr | None = None  # view
     children: tuple["Element", ...] = ()
-    span: SourceSpan | None = field(default=None, compare=False)
+    span: SourceSpan | None = field(default=None, compare=False, repr=False)
     # Child segment -> the children with that segment; see `_members_of`.
     _members: dict[str, list["Element"]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, as the dataclass would, but with an explicit stack of child
+        pairs in place of recursion, so models of any depth compare."""
+        if other.__class__ is not Element:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if mine is not theirs:
+                if _flat_fields(mine) != _flat_fields(theirs):
+                    return False
+                if len(mine.children) != len(theirs.children):
+                    return False
+                stack += zip(mine.children, theirs.children)
+        return True
 
     # -- convenience -------------------------------------------------------
 
@@ -267,6 +289,11 @@ class Element:
     @property
     def is_def(self) -> bool:
         return self.kind in DEF_KINDS
+
+
+_flat_fields = attrgetter(
+    *(f.name for f in fields(Element) if f.compare and f.name != "children")
+)
 
 
 def bound(apps: Iterable[Element], meta_def: str, attr: str) -> Iterator[Expr]:

@@ -11,7 +11,9 @@ from operator import attrgetter
 
 from .errors import ParseError, UnsupportedConstruct, UnsupportedElement
 from .exprs import Expr, expr_to_text, parse_expr, parse_operand
-from .lexing import BLOCKTEXT, EOF, IDENT, IDENT_RE, QNAME, TokenStream, iter_lex, quote
+from .lexing import (
+    BLOCKTEXT, EOF, IDENT, IDENT_RE, MAX_NESTING, QNAME, TokenStream, iter_lex, quote
+)
 from .sysml_ast import (
     BODY_FIELDS,
     Assignment,
@@ -59,6 +61,8 @@ _LINE_FORMS = (
     ("send", ElementKind.ACTION, ("flavor", "send"), "signal!"),
     ("accept", ElementKind.ACTION, ("flavor", "accept"), "signal!"),
 )
+# The keywords that spell `direction` and `constraint_kind`; `emit` refuses any other value.
+_SPELLINGS = {"direction": ("in", "out"), "constraint_kind": ("require", "assume", "assert")}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(Element) if f.compare}
 del _DEFAULTS["kind"]
 
@@ -167,11 +171,12 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
     word = form[0]
     if values(el) != defaults:
         field = next(name for name, d in zip(unwritten, defaults) if getattr(el, name) != d)
-        kind = "objective" if word == "objective" else el.kind.value
-        raise UnsupportedElement(f"an element of kind {kind} takes no {field}")
+        raise _refusal(el, word, f"takes no {field}")
     for field in required:
         if getattr(el, field) is None:
-            raise UnsupportedElement(f"an element of kind {el.kind.value} lacks its {field}")
+            raise _refusal(el, word, f"lacks its {field}")
+    if el.name == "":  # written as nothing, it would read back as None
+        raise _refusal(el, word, "has no notation for name ''")
 
     if word == "comment":
         lines.append(f"{pad}comment {_block_text(el.doc, 'comment')}")
@@ -202,11 +207,16 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
         return
 
     if word == "constraint":
+        _check_spelling(el, word, "constraint_kind")
         bits = (el.constraint_kind, "constraint", el.name and name_text(el.name))
         head = " ".join(bit for bit in bits if bit)
         lines.append(f"{pad}{head} {{ {expr_to_text(el.constraint_expr)} }}")
         return
 
+    # `parse_sysml` refuses a body that opens past MAX_NESTING.  Children make a body, and
+    # are tested first, so the recursion stops here however deep the model is.
+    if depth >= MAX_NESTING and (el.children or _body_lines(el, depth + 1)):
+        raise UnsupportedElement(f"nesting deeper than {MAX_NESTING} levels")
     declarator = _declarator(el, form)
     body = _body_lines(el, depth + 1)
     if body:
@@ -215,6 +225,20 @@ def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
         lines.append(f"{pad}}}")
     else:
         lines.append(f"{pad}{declarator};")
+
+
+def _refusal(el: Element, word: str, what: str) -> UnsupportedElement:
+    """The error for an element, written as `word`, that `what`; it names the element's
+    kind, or `objective`, which is a notation of its own."""
+    kind = "objective" if word == "objective" else el.kind.value
+    return UnsupportedElement(f"an element of kind {kind} {what}")
+
+
+def _check_spelling(el: Element, word: str, field: str) -> None:
+    """Refuse a value of `field` that none of its keywords in `_SPELLINGS` spells."""
+    value = getattr(el, field)
+    if value is not None and value not in _SPELLINGS[field]:
+        raise _refusal(el, word, f"has no notation for {field} {value!r}")
 
 
 def _form(el: Element) -> tuple:
@@ -228,7 +252,8 @@ def _form(el: Element) -> tuple:
 
 def _declarator(el: Element, form: tuple) -> str:
     bits: list[str] = []
-    if el.direction:
+    if el.direction is not None:
+        _check_spelling(el, form[0], "direction")
         bits.append(el.direction)
     if el.is_ref:
         bits.append("ref")
@@ -575,7 +600,7 @@ def _parse_declaration(ts: TokenStream) -> Element:
         raise UnsupportedConstruct(first.span, word, _SUPPORTED)
 
     direction: str | None = None
-    if word == "in" or word == "out":
+    if word in _SPELLINGS["direction"]:
         direction = ts.take().value
         word = ts.keyword()
     is_ref = ts.at("ref")
@@ -670,5 +695,5 @@ def _parse_constraint(ts: TokenStream) -> Element:
 
 _SPECIAL_DECLARATIONS = {
     "transition": _parse_transition,
-    **dict.fromkeys(("require", "assume", "assert", "constraint"), _parse_constraint),
+    **dict.fromkeys((*_SPELLINGS["constraint_kind"], "constraint"), _parse_constraint),
 }

@@ -365,6 +365,15 @@ def package(name: str, *children: Element, **kwargs) -> Element:
     return Element(ElementKind.PACKAGE, name=name, children=tuple(children), **kwargs)
 
 
+def chain(depth: int, **leaf) -> Element:
+    """Package P holding `depth` parts named `a`, each nested in the one before; the
+    innermost takes the fields `leaf`."""
+    inner = Element(ElementKind.PART, name="a", **leaf)
+    for _ in range(depth - 1):
+        inner = Element(ElementKind.PART, name="a", children=(inner,))
+    return package("P", inner)
+
+
 def gen_model(seed: int) -> Element:
     rng = random.Random(seed)
     members = tuple(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from ssm2sysml import (
     walk,
 )
 from ssm2sysml.exprs import EnumLit
+from ssm2sysml.source import SourceSpan
 from ssm2sysml.trace_view import TraceEdge
 from ssm2sysml.sysml_ast import (
     ModelIndex,
@@ -29,7 +31,7 @@ from ssm2sysml.sysml_ast import (
 )
 
 from conftest import count_elements
-from model_gen import gen_model, package
+from model_gen import chain, gen_model, package
 from mutations import MUTATIONS
 
 
@@ -275,3 +277,99 @@ def test_element_convenience_accessors(case_model):
     assert [r.target for r in ec2.rels(RelKind.REFINES)] == [("EC1",)]
     assert ec2.is_def
     assert not resolve(case_model, "Context.resources").is_def
+
+
+# --- the constructor ---------------------------------------------------------
+
+RECORDS = [Element, SourceSpan]
+
+
+def _values(cls) -> dict:
+    """A distinct value for each field the constructor takes, in declaration order;
+    an element's children are elements, since `==` walks them."""
+    values = {f.name: i for i, f in enumerate(fields(cls)) if f.init}
+    if cls is Element:
+        values["children"] = (Element(ElementKind.COMMENT, doc="c"),)
+    return values
+
+
+@pytest.mark.parametrize("cls", RECORDS)
+def test_the_constructor_takes_each_field_by_position_or_keyword(cls):
+    values = _values(cls)
+    by_position, by_keyword = cls(*values.values()), cls(**values)
+    for record in (by_position, by_keyword):
+        assert type(record) is cls
+        assert {name: getattr(record, name) for name in values} == values
+    assert by_position == by_keyword
+    with pytest.raises(TypeError):
+        cls(*values.values(), 0)
+    with pytest.raises(TypeError):
+        cls(**values, nope=0)
+
+
+@pytest.mark.parametrize("cls", RECORDS)
+def test_every_default_is_the_declared_default(cls):
+    required = [f.name for f in fields(cls) if f.init and f.default is MISSING]
+    with pytest.raises(TypeError):
+        cls()
+    record = cls(*(_values(cls)[name] for name in required))
+    for f in fields(cls):
+        if f.default is not MISSING:
+            assert getattr(record, f.name) is f.default, f.name
+
+
+@pytest.mark.parametrize("cls", RECORDS)
+def test_a_record_refuses_assignment_and_deletion(cls):
+    record = cls(**_values(cls))
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, -1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, f.name)
+    assert cls(**_values(cls)) == record
+
+
+@pytest.mark.parametrize("cls", RECORDS)
+def test_replace_builds_a_new_record(cls):
+    values = _values(cls)
+    record = cls(**values)
+    last = list(values)[-1]
+    changed = replace(record, **{last: 99})
+    assert type(changed) is cls
+    assert getattr(changed, last) == 99 and getattr(record, last) == values[last]
+    assert {name: getattr(changed, name) for name in values} == {**values, last: 99}
+
+
+def test_a_new_element_has_no_member_table():
+    element = package("P", Element(ElementKind.PART, name="a"))
+    assert element._members is None
+    resolve(element, "P.a")
+    assert element._members is not None
+    assert replace(element, name="Q")._members is None
+    assert element == package("P", Element(ElementKind.PART, name="a"))
+
+
+def test_the_span_takes_no_part_in_eq_hash_or_repr():
+    spanned = Element(ElementKind.PART, name="a", span=SourceSpan("f", 1, 1, 1, 2))
+    plain = Element(ElementKind.PART, name="a")
+    assert spanned == plain and hash(spanned) == hash(plain) and repr(spanned) == repr(plain)
+    assert spanned.span == SourceSpan("f", 1, 1, 1, 2)
+
+
+def test_a_span_that_starts_after_it_ends_is_refused():
+    with pytest.raises(ValueError, match="span start must not follow span end"):
+        SourceSpan("f", 2, 1, 1, 5)
+    with pytest.raises(ValueError, match="span start must not follow span end"):
+        SourceSpan("f", 1, 3, 1, 2)
+    assert SourceSpan.of_offsets("f", [0, 4], 5, 7) == SourceSpan("f", 2, 2, 2, 4)
+    with pytest.raises(ValueError, match="span start must not follow span end"):
+        SourceSpan.of_offsets("f", [0, 4], 7, 5)
+
+
+def test_equality_of_a_chain_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 200
+    assert chain(depth) == chain(depth)
+    assert chain(depth) != chain(depth, doc="d")
+    assert chain(depth) != chain(depth - 1)
+    assert chain(depth) != chain(depth + 1)
+    assert Element(ElementKind.PART) != (ElementKind.PART,)

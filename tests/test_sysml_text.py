@@ -17,6 +17,7 @@ from ssm2sysml import (
     parse_sysml,
 )
 from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
+from ssm2sysml.lexing import MAX_NESTING
 from ssm2sysml.sysml_ast import (
     DEF_KINDS,
     FORMS,
@@ -29,7 +30,7 @@ from ssm2sysml.sysml_ast import (
     iter_walk,
 )
 
-from model_gen import gen_expr, gen_model, kitchen_sink, package
+from model_gen import chain, gen_expr, gen_model, kitchen_sink, package
 
 ROUND_TRIP_SEEDS = range(180)
 
@@ -561,6 +562,45 @@ def test_emit_refuses_a_notation_that_lacks_a_required_field(kind, fixed, writes
     message = f"^an element of kind {kind.value} lacks its {field}$"
     with pytest.raises(UnsupportedElement, match=message):
         emit(package("P", element))
+
+
+# Values of a written field that no notation spells: no keyword, or nothing, which reads
+# back as None.
+UNSPELLED = {"name": [""], "direction": ["sideways", ""], "constraint_kind": ["maybe", ""]}
+
+
+@pytest.mark.parametrize(
+    "kind, fixed, writes, field, value",
+    [
+        pytest.param(*n[1:4], field, value, id=f"{n[0]}-{field}={value!r}")
+        for n in NOTATIONS
+        for field, values in UNSPELLED.items() if field in n[3].split()
+        for value in values
+    ],
+)
+def test_emit_refuses_a_value_its_notation_cannot_spell(kind, fixed, writes, field, value):
+    element = _notation_element(kind, fixed, writes.split())
+    name = "objective" if fixed.get("is_objective") else kind.value
+    message = f"^an element of kind {name} has no notation for {field} {value!r}$"
+    with pytest.raises(UnsupportedElement, match=message):
+        emit(package("P", replace(element, **{field: value})))
+
+
+def test_a_chain_as_deep_as_the_parser_reads_round_trips():
+    model = chain(MAX_NESTING)
+    assert parse_sysml(emit(model)) == model
+    with_doc = chain(MAX_NESTING - 1, doc="d")
+    assert parse_sysml(emit(with_doc)) == with_doc
+
+
+@pytest.mark.parametrize(
+    "model",
+    [chain(MAX_NESTING + 1), chain(MAX_NESTING, doc="d"), chain(1_200)],
+    ids=["257", "256-with-doc", "1200"],
+)
+def test_emit_refuses_a_body_nested_deeper_than_the_parser_reads(model):
+    with pytest.raises(UnsupportedElement, match=f"^nesting deeper than {MAX_NESTING} levels$"):
+        emit(model)  # not RecursionError, however deep
 
 
 GRAMMAR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "GRAMMAR.md"
