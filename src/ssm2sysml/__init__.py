@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 # Each public name, and the submodule that defines it.
 _EXPORTS = {
     "Activity": "ssm_model",
-    "AmbiguousName": "errors",
     "CatwoeRole": "ssm_model",
     "ConceptualModel": "ssm_model",
     "Diagnostic": "diagnostics",

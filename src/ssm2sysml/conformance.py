@@ -51,10 +51,7 @@ class Rule(Code):
 
 
 class _Context:
-    """Per-check state: the model index plus facts several rules share.
-
-    A set of positions holds each as (id, path), since elements compare by structure.
-    """
+    """Per-check state: the model index plus facts several rules share."""
 
     def __init__(self, model: Element) -> None:
         self.index = ModelIndex(model)
@@ -73,8 +70,8 @@ class _Context:
         ]
 
     @cached_property
-    def transformation_subjects(self) -> set[tuple[int, QName]]:
-        """The (id, path) of each element a transformation use case's subject subsets."""
+    def transformation_subjects(self) -> set[QName]:
+        """The path of each element a transformation use case's subject subsets."""
         return {
             target
             for ucase, path in self.transformations
@@ -82,13 +79,13 @@ class _Context:
         }
 
     @cached_property
-    def stakeholder_targets(self) -> set[tuple[int, QName]]:
-        """The (id, path) of each element some stakeholder usage subsets."""
+    def stakeholder_targets(self) -> set[QName]:
+        """The path of each element some stakeholder usage subsets."""
         return {
-            (id(target), at)
+            at
             for element, path in self.index.pairs
             if element.kind is K.STAKEHOLDER
-            for target, at in self.index.targets(element, path, RelKind.SUBSETS)
+            for _, at in self.index.targets(element, path, RelKind.SUBSETS)
         }
 
 
@@ -163,16 +160,13 @@ def _check_trf_1(ctx: _Context, ucase: Element, path: QName) -> Iterator[str]:
         yield "transformation use case objective references no requirement"
 
 
-def _subject_target(
-    index: ModelIndex, element: Element, path: QName
-) -> tuple[int, QName] | None:
-    """The (id, path) of what the element's first subject with a resolvable subsetting subsets."""
+def _subject_target(index: ModelIndex, element: Element, path: QName) -> QName | None:
+    """The path of what the element's first subject with a resolvable subsetting subsets."""
     for i, child in enumerate(element.children):
         if child.kind is K.SUBJECT:
             targets = index.targets(child, path + (segment(child, i),), RelKind.SUBSETS)
             if targets:
-                target, at = targets[0]
-                return id(target), at
+                return targets[0][1]
     return None
 
 
@@ -208,13 +202,9 @@ def _check_cat_1(ctx: _Context, package: Element, path: QName) -> Iterator[str]:
     # A transformation package holds a transformation use case strictly below its path.
     if not any(len(at) > len(path) and at[: len(path)] == path for _, at in ctx.transformations):
         return
-    # The package itself and every element strictly below its path.
-    members = [package] + [
-        member
-        for member, inner in ctx.index.pairs
-        if len(inner) > len(path) and inner[: len(path)] == path
-    ]
-    present = set().union(*(_roles(member.metadata_applications()) for member in members))
+    # The package itself and every element below it.
+    members = ctx.index.subtree(path)
+    present = set().union(*(_roles(member.metadata_applications()) for member, _ in members))
     missing = [label for label in _ALL_ROLES if label not in present]
     if missing:
         yield "transformation package is missing CATWOE tags: " + ", ".join(missing)
@@ -222,7 +212,7 @@ def _check_cat_1(ctx: _Context, package: Element, path: QName) -> Iterator[str]:
 
 def _check_own_1(ctx: _Context, individual: Element, path: QName) -> Iterator[str]:
     owner = "Owner" in ctx.roles(individual, path)
-    if owner and (id(individual), path) not in ctx.stakeholder_targets:
+    if owner and path not in ctx.stakeholder_targets:
         yield "owner-tagged individual is not referenced by any stakeholder usage"
 
 

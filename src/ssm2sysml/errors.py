@@ -47,17 +47,6 @@ class UnknownElement(KeyError):
         return f"unknown element {self.name!r} (longest resolvable prefix: {self.prefix!r})"
 
 
-class AmbiguousName(KeyError):
-    """Two siblings share a name; resolution cannot pick one."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.name = name
-
-    def __str__(self) -> str:
-        return f"ambiguous name {self.name!r}"
-
-
 class UnknownRule(KeyError):
     pass
 

@@ -111,11 +111,14 @@ def _parse(ts: TokenStream, min_prec: int) -> Expr:
         ts.leave()
     else:
         left = _parse_atom(ts)
+    outer = ts.depth
+    ts.depth -= 1  # each operator after a chain's first nests the chain before it: a level
     while True:
         prec = _BINARY.get(ts.keyword())
         if prec is None or not min_prec <= prec <= top:
+            ts.depth = outer
             return left
-        left = Binary(ts.take().value, left, _parse(ts, prec + 1))
+        left = Binary(ts.enter().value, left, _parse(ts, prec + 1))
         if prec <= _PREC["=="]:
             top = _PREC["not"]
 

@@ -196,12 +196,12 @@ class TokenStream:
             limit = sys.get_int_max_str_digits()
             raise ParseError(tok.span, f"integer longer than {limit} digits") from None
 
-    def enter(self) -> None:
+    def enter(self) -> Token:
         """Take the token that opens a nesting level; past MAX_NESTING, refuse it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(self.current.span, f"nesting deeper than {MAX_NESTING} levels")
-        self.take()
+        return self.take()
 
     def leave(self) -> None:
         self.depth -= 1

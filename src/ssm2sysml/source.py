@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 
 def one_pass_init(cls: type) -> type:
@@ -13,6 +13,7 @@ def one_pass_init(cls: type) -> type:
     stores every field as a plain attribute, turns it back into `cls`, then calls
     `__post_init__` if `cls` defines one.  That pays for records of many fields;
     for one of two it is slower.  Fields take plain defaults, not factories.
+    Assigning or deleting any attribute raises `FrozenInstanceError`.
     Package-private.
     """
     twin = type(cls.__name__, (), {"__slots__": cls.__slots__})
@@ -34,7 +35,13 @@ def one_pass_init(cls: type) -> type:
     init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
+
+
+def _frozen(self: object, name: str, *value: object) -> None:
+    """Refuse to assign (given a `value`) or delete any attribute."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 @one_pass_init

@@ -11,7 +11,8 @@ namespace fills from its `children`; like the source span, it takes no
 part in equality, hashing or `repr`.  The constructor comes from
 `source.one_pass_init`: it stores the fields through a mutable twin
 class with the same slots instead of one `object.__setattr__` call per
-field.
+field, and refuses two children with one name, so that each path names
+one position: an element together with its path.
 
 `FORMS` is the one description of the declaration keywords; the parser
 and the emitter both read it.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Container, Iterable, Iterator, Union
 
-from .errors import AmbiguousName, UnknownElement
+from .errors import UnknownElement
 from .exprs import Expr
 from .source import SourceSpan, one_pass_init
 
@@ -251,10 +252,23 @@ class Element:
     filter: FilterExpr | None = None  # view
     children: tuple["Element", ...] = ()
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
-    # Child segment -> the children with that segment; see `_members_of`.
-    _members: dict[str, list["Element"]] | None = field(
+    # Child segment -> the child with that segment; see `_members_of`.
+    _members: dict[str, "Element"] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        """Refuse two children with one name, or a child named like a `kind@index` segment."""
+        if len(self.children) > 1:
+            seen: set[str] = set()
+            for child in self.children:
+                name = child.name
+                if name in seen:
+                    raise ValueError(f"duplicate member name {name!r}")
+                if name:
+                    if "@" in name and SEGMENT_FORM.fullmatch(name):
+                        raise ValueError(f"name {name!r} spells an unnamed element's segment")
+                    seen.add(name)
 
     def __eq__(self, other: object) -> bool:
         """Field by field, as the dataclass would, but with an explicit stack of child
@@ -306,7 +320,7 @@ def bound(apps: Iterable[Element], meta_def: str, attr: str) -> Iterator[Expr]:
 
 # --- traversal and resolution ------------------------------------------------
 
-# An element together with its path: one object placed twice has two.
+# An element together with its path, which names it: one object placed twice has two.
 Position = tuple[Element, QName]
 
 
@@ -350,21 +364,16 @@ def resolve(model: Element, qualified_name: str | QName) -> Element:
 
     The first segment may be the root package's own name; an unnamed
     element is addressed by its `kind@index` segment, as `walk` names it.
-    Raises UnknownElement (with the longest resolvable prefix) or
-    AmbiguousName when duplicate siblings make the path ambiguous.
+    Raises UnknownElement with the longest resolvable prefix.
     """
     path = qname(qualified_name) if isinstance(qualified_name, str) else qualified_name
-    segments = path[1:] if path[:1] == (model.name,) else path
-    current = model
-    for depth, segment in enumerate(segments):
-        matches = _members_of(current).get(segment, ())
-        if len(matches) > 1:
-            raise AmbiguousName(segment)
-        if not matches:
-            prefix = (model.name or "",) + segments[:depth]
-            raise UnknownElement(qname_text(path), qname_text(tuple(p for p in prefix if p)))
-        current = matches[0]
-    return current
+    root = (segment(model, 0),)
+    path = path if path[:1] == root else root + path
+    index = ModelIndex(model)
+    found = index.get(path)
+    if found is None:
+        raise unknown_element(path, index.by_path)
+    return found[0]
 
 
 def unknown_element(path: QName, known: Container[QName]) -> UnknownElement:
@@ -375,13 +384,11 @@ def unknown_element(path: QName, known: Container[QName]) -> UnknownElement:
     return UnknownElement(qname_text(path), qname_text(prefix))
 
 
-def _members_of(element: Element) -> dict[str, list[Element]]:
-    """Each child segment to its children in document order, kept in the element's memo slot."""
+def _members_of(element: Element) -> dict[str, Element]:
+    """Each child segment to its child, kept in the element's memo slot."""
     members = element._members
     if members is None:
-        members = {}
-        for i, child in enumerate(element.children):
-            members.setdefault(segment(child, i), []).append(child)
+        members = {segment(child, i): child for i, child in enumerate(element.children)}
         object.__setattr__(element, "_members", members)
     return members
 
@@ -405,7 +412,7 @@ class ModelIndex:
         self.model = model
         self._pairs: list[Position] | None = None
         self._by_path: dict[QName, Position] | None = None
-        self._typed: dict[tuple[int, QName], tuple[Position, ...]] = {}
+        self._typed: dict[QName, tuple[Position, ...]] = {}
 
     def _walk_all(self) -> list[Position]:
         if self._pairs is None:
@@ -417,26 +424,21 @@ class ModelIndex:
 
     @property
     def by_path(self) -> dict[QName, Position]:
-        """Each path's position; where paths repeat, the last in document order."""
+        """Each path's position."""
         self._walk_all()
         return self._by_path
 
     def get(self, path: QName) -> Position | None:
-        """The position `by_path` holds for `path`, or None, without walking the model."""
-        found = self._at(path)
-        return (found[-1], path) if found else None
-
-    def _at(self, path: QName) -> list[Element]:
-        """Every element at `path` in document order, opening the namespaces above it."""
-        found = [self.model] if path[:1] == (segment(self.model, 0),) else []
+        """The position at `path`, or None, opening only the namespaces above it."""
+        element = self.model if path[:1] == (segment(self.model, 0),) else None
         for name in path[1:]:
-            found = [child for owner in found for child in _members_of(owner).get(name, ())]
-        return found
+            element = element and _members_of(element).get(name)
+        return None if element is None else (element, path)
 
     def subtree(self, path: QName) -> Iterator[Position]:
         """Every position at `path` or below it, in document order."""
-        for top in self._at(path):
-            yield from _walk(top, path)
+        found = self.get(path)
+        return _walk(*found) if found else iter(())
 
     def resolve_relative(self, owner_path: QName, target: QName) -> Position | None:
         """Resolve `target` lexically, innermost enclosing namespace outward, the
@@ -466,22 +468,17 @@ class ModelIndex:
 
     def typed_by(self, element: Element, path: QName) -> tuple[Position, ...]:
         """The position, then every position its typing reaches, each once,
-        depth first in document order, so typing cycles terminate.
-
-        Cached by id and path, since a model built in memory can repeat a path.
-        """
-        key = (id(element), path)
-        found = self._typed.get(key)
+        depth first in document order, so typing cycles terminate; cached by path."""
+        found = self._typed.get(path)
         if found is None:
-            reached = {key: (element, path)}
+            reached = {path: (element, path)}
             stack = self.targets(element, path, RelKind.TYPING)[::-1]
             while stack:
                 position = stack.pop()
-                at = (id(position[0]), position[1])
-                if at not in reached:
-                    reached[at] = position
+                if position[1] not in reached:
+                    reached[position[1]] = position
                     stack.extend(reversed(self.targets(*position, RelKind.TYPING)))
-            found = self._typed[key] = tuple(reached.values())
+            found = self._typed[path] = tuple(reached.values())
         return found
 
     def effective_metadata(self, element: Element, path: QName) -> tuple[Element, ...]:

@@ -395,11 +395,14 @@ def _parse_filter_expr(ts: TokenStream, min_prec: int = 1) -> FilterExpr:
         ts.leave()
     else:
         left = _parse_filter_atom(ts)
+    outer = ts.depth
+    ts.depth -= 1  # each operator after a chain's first nests the chain before it: a level
     while True:
         op = _FILTER_OPS.get(ts.keyword())
         if op is None or op[0] < min_prec:
+            ts.depth = outer
             return left
-        ts.take()
+        ts.enter()
         left = op[1](left, _parse_filter_expr(ts, op[0] + 1))
 
 
@@ -657,7 +660,15 @@ def _parse_declaration(ts: TokenStream) -> Element:
         raise ts.error(("';'", "'{'"))
     for key in _SEQUENCES:
         fields[key] = tuple(fields[key])
-    return Element(span=first.through(ts.take()), **fields)
+    try:
+        return Element(span=first.through(ts.take()), **fields)
+    except ValueError:  # a repeated name: a name that spells a segment is refused above
+        named: dict[str, Element] = {}
+        for child in filter(attrgetter("name"), fields["children"]):
+            earlier = named.setdefault(child.name, child)
+            if earlier is not child:
+                message = f"duplicate member name {child.name!r} (first declared at {earlier.span})"
+                raise ParseError(child.span, message, found=child.name) from None
 
 
 def _parse_transition(ts: TokenStream) -> Element:

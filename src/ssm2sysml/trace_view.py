@@ -263,10 +263,9 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
 
     roots = dict.fromkeys(root for _, root in index.targets(view, path, RelKind.EXPOSES))
     members = [pair for root in roots for pair in index.subtree(root)]
-    # Where paths repeat, the report names the last element's kind, as `by_path` would.
     kinds = {p: element.kind for element, p in members}
     exposed = set(kinds)
-    if view.filter is not None and members:
+    if view.filter is not None:
         _validate_atoms(index, view.filter)
         exposed = {pair[1] for pair in members if _matches(index, pair, view.filter)}
 

@@ -4,7 +4,9 @@ Used by the round-trip property tests: every element kind and every
 relationship kind appears somewhere in a few hundred generated models.
 The generator stays inside what the canonical printer can represent:
 no `*/` or newlines in doc text.  A negative number is `Unary('-', ...)`,
-the only form `Lit` admits.
+the only form `Lit` admits.  Names are drawn from small pools, so about
+one draw in five gives two siblings one name, and the `Element`
+constructor refuses it; `draw` turns that refusal into None.
 """
 from __future__ import annotations
 
@@ -383,9 +385,21 @@ def gen_model(seed: int) -> Element:
     return Element(ElementKind.PACKAGE, name=pick_name(rng), children=members)
 
 
+def draw(seed: int) -> Element | None:
+    """`gen_model(seed)`, or None where the draw gives two siblings one name, which
+    the `Element` constructor refuses with `duplicate member name`."""
+    try:
+        return gen_model(seed)
+    except ValueError as exc:
+        if not str(exc).startswith("duplicate member name"):
+            raise
+        return None
+
+
 def gen_shared_model(seed: int) -> Element | None:
     """`gen_model(seed)` with one named member also placed inside a sibling that
-    has a body, so one object sits at two positions; None where no member can."""
+    has a body, so one object sits at two positions; None where no member can.
+    Raises ValueError where the draw, or the sibling, already holds that name."""
     model = gen_model(seed)
     rng = random.Random(seed)
     named = [child for child in model.children if child.name]
@@ -400,9 +414,15 @@ def gen_shared_model(seed: int) -> Element | None:
 
 
 def kitchen_sink() -> Element:
-    """One deterministic model touching every kind and relationship."""
+    """One deterministic model touching every kind and relationship; a member whose
+    drawn name an earlier member has is renamed `name_i`, after its index."""
     rng = random.Random(0xC0FFEE)
-    members = [gen_element(rng, 2, kind) for kind in _MEMBER_POOL]
+    members: list[Element] = []
+    for i, kind in enumerate(_MEMBER_POOL):
+        member = gen_element(rng, 2, kind)
+        if member.name and any(member.name == other.name for other in members):
+            member = replace(member, name=f"{member.name}_{i}")
+        members.append(member)
     members.append(
         Element(
             ElementKind.VIEW,

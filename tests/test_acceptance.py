@@ -32,7 +32,7 @@ from ssm2sysml.sysml_ast import (
 )
 from ssm2sysml.trace_view import build_graph, evaluate_filter, reach
 
-from model_gen import gen_model, kitchen_sink
+from model_gen import draw, kitchen_sink
 from mutations import MUTATIONS
 from ssm_gen import gen_context
 from test_trace import GOLDEN_KINDS, _bfs_oracle, _random_filter
@@ -136,7 +136,9 @@ def test_criterion_2_kettle_fixture(kettle_text, kettle_model):
 @_verdict(3, "500+ generated models round-trip structurally, 100% pass")
 def test_criterion_3_round_trip_property():
     kinds, rels = set(), set()
-    models = [kitchen_sink()] + [gen_model(seed) for seed in range(520)]
+    # 521 of the first 678 draws build; the others give two siblings one name.
+    models = [kitchen_sink()] + [m for seed in range(678) if (m := draw(seed)) is not None]
+    assert len(models) == 522
     for i, model in enumerate(models):
         text = emit(model)
         assert parse_sysml(text, f"model{i}") == model

@@ -502,6 +502,51 @@ def test_nesting_cap(tmp_path, monkeypatch, capsys, construct):
         assert line.endswith(f"nesting deeper than {MAX_NESTING} levels")
 
 
+def _chain_in_attribute(ops: int) -> str:
+    return f"package P {{ attribute a = {' + '.join(['1'] * (ops + 1))}; }}\n"
+
+
+def _chain_in_filter(ops: int) -> str:
+    chain = " or ".join(["iskind part"] * (ops + 1))
+    return f"package P {{ part x; view v {{ expose x; filter {chain}; }} }}\n"
+
+
+def _chain_in_requirement(ops: int) -> str:
+    """The case study with its first `require` a chain of `ops` operators: `+`, then `>`."""
+    chain = " + ".join(["license.availability"] * ops) + " > 0"
+    return re.sub('require "[^"]*"', f'require "{chain}"', Path(DATA_SSM).read_text(), count=1)
+
+
+# construct -> (command and the arguments after its file, file suffix, text holding a
+# chain of `ops` operators, the longest chain the bodies around it leave room for)
+CHAINS = {
+    "attribute": (["check"], ".sysml", _chain_in_attribute, MAX_NESTING),
+    "filter": (["view", "v"], ".sysml", _chain_in_filter, MAX_NESTING - 1),
+    "require": (["compile", "-o", "out"], ".ssm", _chain_in_requirement,
+                MAX_NESTING - CONSTRAINT_DEPTH + 1),
+}
+
+
+@pytest.mark.parametrize("construct", CHAINS)
+def test_each_operator_after_a_chains_first_is_a_nesting_level(
+    tmp_path, monkeypatch, capsys, construct
+):
+    (command, *args), suffix, text, longest = CHAINS[construct]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"cap{suffix}").write_text(text(longest))
+    assert main([command, f"cap{suffix}", *args]) == 0
+    if command == "compile":  # the file written at the limit loads again
+        assert main(["check", "out/Context.sysml"]) == 0
+    capsys.readouterr()
+    for ops in (longest + 1, 3000):
+        name = f"chain{ops}{suffix}"
+        (tmp_path / name).write_text(text(ops))
+        assert main([command, name, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(name + ":") and err.count("\n") == 1
+        assert err.endswith(f"nesting deeper than {MAX_NESTING} levels\n")
+
+
 # --- check -------------------------------------------------------------------
 
 
@@ -606,6 +651,25 @@ def test_check_refuses_a_name_that_spells_a_synthesized_segment(
     target.write_text(text + "\n")
     assert main(["check", str(target)]) == 2
     message = f"name {name!r} spells an unnamed element's segment"
+    assert capsys.readouterr().err == f"{target}:1:{column}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, args, column, first, name",
+    [
+        ("package P { part a; part a : X; part def X; }", ["check"], 21, 13, "a"),
+        ("package P { view tie; viewpoint tie; }", ["view", "tie"], 23, 13, "tie"),
+        ("package P { part q { item 'x y'; part 'x y'; } }", ["check"], 34, 22, "x y"),
+    ],
+    ids=["check", "view", "nested"],
+)
+def test_a_repeated_member_name_is_refused_where_it_repeats(
+    tmp_path, capsys, text, args, column, first, name
+):
+    target = tmp_path / "repeat.sysml"
+    target.write_text(text + "\n")
+    assert main([args[0], str(target), *args[1:]]) == 2
+    message = f"duplicate member name {name!r} (first declared at {target}:1:{first})"
     assert capsys.readouterr().err == f"{target}:1:{column}: {message}\n"
 
 
@@ -754,6 +818,13 @@ def test_view_filter_naming_nothing_exits_2(tmp_path, capsys, atom, message):
     target.write_text(f"package P {{ part x; view v {{ expose x; filter {atom}; }} }}\n")
     assert main(["view", str(target), "v"]) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_view_filter_is_checked_when_the_view_exposes_nothing(tmp_path, capsys):
+    target = tmp_path / "filtered.sysml"
+    target.write_text("package P { part x; view v { filter @Nope; } }\n")
+    assert main(["view", str(target), "v"]) == 2
+    assert capsys.readouterr().err == "unknown metadata definition 'Nope'\n"
 
 
 @pytest.mark.parametrize(

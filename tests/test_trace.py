@@ -38,9 +38,10 @@ from ssm2sysml.exprs import EnumLit, Lit
 from ssm2sysml.trace_view import EDGE_KINDS, query_json
 
 from conftest import count_elements
-from model_gen import gen_model
+from model_gen import draw
 
-ORACLE_SEEDS = range(10)
+# The seeds of the first 10 draws that build; seed 6 repeats a sibling name.
+ORACLE_SEEDS = [seed for seed in range(11) if draw(seed) is not None]
 
 GOLDEN_KINDS = frozenset(
     {"frames", "satisfies", "subsets", "objectiveOf", "performs", "subjectOf"}
@@ -68,7 +69,7 @@ def _bfs_oracle(graph: TraceGraph, start, direction, kinds):
 
 
 def test_graph_shape(case_model, kettle_model):
-    for model in [case_model, kettle_model] + [gen_model(s) for s in ORACLE_SEEDS]:
+    for model in [case_model, kettle_model] + [draw(s) for s in ORACLE_SEEDS]:
         graph = build_graph(model)
         assert len(graph.nodes) == count_elements(model)
         node_set = set(graph.nodes)
@@ -130,7 +131,7 @@ def test_reach_matches_independent_bfs(case_model, kettle_model, direction):
             assert reach(graph, start, direction, kinds) == _bfs_oracle(
                 graph, start, direction, kinds
             )
-    for model in [kettle_model] + [gen_model(s) for s in ORACLE_SEEDS]:
+    for model in [kettle_model] + [draw(s) for s in ORACLE_SEEDS]:
         graph = build_graph(model)
         for start in graph.nodes:
             for kinds in (None, GOLDEN_KINDS):
@@ -176,9 +177,12 @@ def _regrouped(edges, end: str) -> dict:
     return groups
 
 
-@pytest.mark.parametrize("source", ["case", "kettle", *range(40)])
+# 40 draws build; the other 12 give two siblings one name, which is refused.
+@pytest.mark.parametrize("source", ["case", "kettle", *range(52)])
 def test_adjacency_regroups_the_edges(case_model, kettle_model, source):
-    model = {"case": case_model, "kettle": kettle_model}.get(source) or gen_model(source)
+    model = {"case": case_model, "kettle": kettle_model}.get(source) or draw(source)
+    if model is None:
+        return
     graph = build_graph(model)
     assert graph.node_set == frozenset(graph.nodes)
     assert graph.outgoing == _regrouped(graph.edges, "source")
