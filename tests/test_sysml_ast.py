@@ -102,15 +102,33 @@ def test_resolve_unknown_reports_longest_prefix(case_model):
     assert exc.value.prefix == "Context.transformationSystem"
 
 
-def test_siblings_that_share_a_segment_are_refused():
+def test_resolve_ambiguous_siblings():
+    # Two siblings named alike cannot be built, so no path resolves to both.
     part, item = Element(ElementKind.PART, name="x"), Element(ElementKind.ITEM, name="x")
     with pytest.raises(ValueError, match="^duplicate member name 'x'$"):
         package("P", part, item)
+    model = package("P", part, Element(ElementKind.ITEM, name="y"))
+    assert resolve(model, "P.x") is part
+    assert resolve(model, "P.y").kind is ElementKind.ITEM
+
+
+def test_duplicate_names_detection():
+    clean = package("P", Element(ElementKind.PART, name="x"))
+    assert [path for _, path in walk(clean)] == [("P",), ("P", "x")]
+    part = Element(ElementKind.PART, name="x")
+    with pytest.raises(ValueError, match="^duplicate member name 'x'$"):
+        package("P", part, Element(ElementKind.PART, name="x"))
+    with pytest.raises(ValueError, match="^duplicate member name 'x'$"):
+        replace(clean, children=(part, part))
+    # Only siblings share a namespace: one name at two depths is no repeat.
+    nested = package("P", part, package("Q", part))
+    assert [path for _, path in walk(nested)][-1] == ("P", "Q", "x")
+
+
+def test_siblings_that_share_a_segment_are_refused():
     with pytest.raises(ValueError, match="^name 'part@0' spells an unnamed element's segment$"):
         package("P", Element(ElementKind.PART), Element(ElementKind.ITEM, name="part@0"))
-    model = package("P", part, Element(ElementKind.ITEM, name="y"))
-    with pytest.raises(ValueError, match="^duplicate member name 'x'$"):
-        replace(model, children=(part, item))
+    part = Element(ElementKind.PART, name="x")
     # An unnamed sibling takes no name, and one child has no sibling to repeat.
     unnamed = package("P", Element(ElementKind.PART), Element(ElementKind.PART), part)
     paths = [path for _, path in walk(unnamed)]
