@@ -4,7 +4,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .source import SourceSpan
+from .source import SourceSpan, record
 
 
 class Severity(enum.Enum):
@@ -15,7 +15,7 @@ class Severity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Diagnostic:
     """One finding: rule id, severity, offending element, location, message."""
 

@@ -1,31 +1,32 @@
-"""Expression trees used by constraints, derived attributes, and guards.
+"""Expression trees used by constraints, derived attributes, guards and view filters.
 
 Expressions are always stored as trees, never as strings, so constraint
 bodies stay analyzable.  The grammar covers qualified paths, literals,
 enum literals (``Enum::Value``), ``+ - * /``, comparisons, and
-``and/or/not`` with parentheses.
+``and/or/not`` with parentheses.  A view filter is read and printed by
+the same precedence climber and printer, over its own atoms.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedElement
 from .lexing import IDENT, NUMBER, STRING, TokenStream, iter_lex, quote
+from .source import record
 
 Expr = Union["Ref", "Lit", "EnumLit", "Unary", "Binary"]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ref:
     """Dot-qualified attribute or element path, e.g. license.availability."""
 
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lit:
     value: int | float | str | bool
 
@@ -46,7 +47,7 @@ class Lit:
             raise ValueError(f"literal {value!r} is negative; build Unary('-', Lit({-value!r}))")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EnumLit:
     """Enum literal reference, e.g. CatwoeElement::Actor."""
 
@@ -54,13 +55,13 @@ class EnumLit:
     literal: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Unary:
     op: str  # 'not' or '-'
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Binary:
     op: str  # 'or' 'and' '==' '!=' '<' '<=' '>' '>=' '+' '-' '*' '/'
     left: Expr
@@ -75,9 +76,12 @@ _PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "neg": 7})
 _BINARY = {op: prec for op, prec in _PREC.items() if op not in ("not", "neg")}
 
 
-def parse_expr(ts: TokenStream) -> Expr:
-    """Parse one expression from the stream, leaving trailing tokens."""
-    return _parse(ts, _PREC["or"])
+def parse_expr(
+    ts: TokenStream, ops: dict[str, int] = _BINARY, atom: Callable | None = None
+) -> Expr:
+    """Parse one expression from the stream, leaving trailing tokens.  A grammar other than
+    the default, such as a view filter's, gives its binary operators' precedences and atoms."""
+    return _parse(ts, _PREC["or"], ops, atom or _parse_atom)
 
 
 def parse_operand(ts: TokenStream) -> Expr:
@@ -86,39 +90,45 @@ def parse_operand(ts: TokenStream) -> Expr:
     Used where an expression is followed by keywords that double as
     expression operators (e.g. view filter clauses).
     """
-    return _parse(ts, _PREC["+"])
+    return _parse(ts, _PREC["+"], _BINARY, _parse_atom)
 
 
-def _parse(ts: TokenStream, min_prec: int) -> Expr:
-    """The operators that bind at least as tightly as `min_prec` (precedence climbing).
+def _parse(ts: TokenStream, min_prec: int, ops: dict[str, int], atom: Callable) -> Expr:
+    """The operators of `ops` that bind at least as tightly as `min_prec` (precedence climbing).
 
     `not` takes a comparison as its operand and comparisons do not
-    chain, so after either only `and` and `or` may follow.
+    chain, so after either only `and` and `or` may follow.  Unary `-`
+    is read only where `ops` holds `-`.
     """
     word = ts.keyword()
     top = _PREC["*"]  # the tightest operator that may still follow
     if word == "not" and min_prec <= _PREC["not"]:
         ts.enter()
-        left = Unary("not", _parse(ts, _PREC["not"]))
+        left = Unary("not", _parse(ts, _PREC["not"], ops, atom))
         ts.leave()
         top = _PREC["not"]
-    elif word == "-":
+    elif word == "-" and "-" in ops:
         ts.enter()
         doubled = ts.at("-")  # printed as `-(-a)`: count the parenthesis too
         ts.depth += doubled
-        left = Unary("-", _parse(ts, _PREC["neg"]))
+        left = Unary("-", _parse(ts, _PREC["neg"], ops, atom))
         ts.depth -= doubled
         ts.leave()
+    elif word == "(":
+        ts.enter()
+        left = _parse(ts, _PREC["or"], ops, atom)
+        ts.expect(")")
+        ts.leave()
     else:
-        left = _parse_atom(ts)
+        left = atom(ts)
     outer = ts.depth
     ts.depth -= 1  # each operator after a chain's first nests the chain before it: a level
     while True:
-        prec = _BINARY.get(ts.keyword())
+        prec = ops.get(ts.keyword())
         if prec is None or not min_prec <= prec <= top:
             ts.depth = outer
             return left
-        left = Binary(ts.enter().value, left, _parse(ts, prec + 1))
+        left = Binary(ts.enter().value, left, _parse(ts, prec + 1, ops, atom))
         if prec <= _PREC["=="]:
             top = _PREC["not"]
 
@@ -132,12 +142,6 @@ def _parse_atom(ts: TokenStream) -> Expr:
     if tok.kind == STRING:
         ts.take()
         return Lit(tok.value)
-    if ts.at("("):
-        ts.enter()
-        inner = _parse(ts, _PREC["or"])
-        ts.expect(")")
-        ts.leave()
-        return inner
     if tok.kind == IDENT:
         if tok.value == "true":
             ts.take()
@@ -167,12 +171,31 @@ def parse_expr_text(text: str, file: str = "<expr>", depth: int = 0) -> Expr:
     return expr
 
 
-def expr_to_text(expr: Expr) -> str:
-    """Canonical rendering; parse_expr_text(expr_to_text(e)) == e."""
-    return _render(expr, 0)
+def expr_to_text(expr: Expr, ops: dict[str, int] = _BINARY, atom: Callable | None = None) -> str:
+    """Canonical rendering; parse_expr_text(expr_to_text(e)) == e.  `atom` prints each node
+    that is not `not`, a `-` that `ops` holds or another operator of `ops`."""
+    return _render(expr, 0, ops, atom or _atom_text)
 
 
-def _render(expr: Expr, parent_prec: int) -> str:
+def _render(expr: Expr, parent_prec: int, ops: dict[str, int], atom: Callable) -> str:
+    if isinstance(expr, Binary) and expr.op in ops:
+        prec = ops[expr.op]
+        # Right operand of a left-associative chain needs parens at equal precedence;
+        # comparisons do not chain at all, so neither of their operands may be one.
+        left = _render(expr.left, prec + 1 if prec == _PREC["=="] else prec, ops, atom)
+        body = f"{left} {expr.op} {_render(expr.right, prec + 1, ops, atom)}"
+    elif isinstance(expr, Unary) and expr.op == "not":
+        prec = _PREC["not"]
+        body = f"not {_render(expr.operand, prec, ops, atom)}"
+    elif isinstance(expr, Unary) and expr.op == "-" and "-" in ops:
+        prec = _PREC["neg"]
+        body = f"-{_render(expr.operand, prec + 1, ops, atom)}"
+    else:
+        return atom(expr)
+    return f"({body})" if prec < parent_prec else body
+
+
+def _atom_text(expr: Expr) -> str:
     if isinstance(expr, Lit):
         if isinstance(expr.value, bool):
             return "true" if expr.value else "false"
@@ -190,19 +213,4 @@ def _render(expr: Expr, parent_prec: int) -> str:
         return ".".join(expr.path)
     if isinstance(expr, EnumLit):
         return ".".join(expr.enum) + "::" + expr.literal
-    if isinstance(expr, Unary):
-        if expr.op == "not":
-            prec = _PREC["not"]
-            body = f"not {_render(expr.operand, prec)}"
-        else:
-            prec = _PREC["neg"]
-            body = f"-{_render(expr.operand, prec + 1)}"
-        return f"({body})" if prec < parent_prec else body
-    assert isinstance(expr, Binary)
-    prec = _PREC[expr.op]
-    # Right operand of a left-associative chain needs parens at equal precedence;
-    # comparisons do not chain at all, so neither of their operands may be one.
-    left = _render(expr.left, prec + 1 if prec == _PREC["=="] else prec)
-    right = _render(expr.right, prec + 1)
-    body = f"{left} {expr.op} {right}"
-    return f"({body})" if prec < parent_prec else body
+    raise UnsupportedElement(f"no rendering rule for expression node {expr!r}")

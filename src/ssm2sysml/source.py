@@ -39,6 +39,15 @@ def one_pass_init(cls: type) -> type:
     return cls
 
 
+def record(cls: type) -> type:
+    """`dataclass(frozen=True, slots=True)` refusing to assign or delete any attribute, not
+    just a field, with `FrozenInstanceError`: for any other name the dataclass's own
+    `__setattr__` calls `super()` on the class that `slots=True` replaced.  Package-private."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
 def _frozen(self: object, name: str, *value: object) -> None:
     """Refuse to assign (given a `value`) or delete any attribute."""
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")

@@ -27,7 +27,7 @@ from typing import Container, Iterable, Iterator, Union
 
 from .errors import UnknownElement
 from .exprs import Expr
-from .source import SourceSpan, one_pass_init
+from .source import SourceSpan, one_pass_init, record
 
 QName = tuple[str, ...]
 
@@ -133,13 +133,13 @@ class RelKind(enum.Enum):
     REFERENCES = "references"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Relationship:
     kind: RelKind
     target: QName
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Multiplicity:
     lower: int
     upper: int | None = None  # None = unbounded ('*')
@@ -149,7 +149,7 @@ class Multiplicity:
             raise ValueError("multiplicity requires 0 <= lower <= upper")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Assignment:
     """`assign target := expr;` inside an action body."""
 
@@ -157,7 +157,7 @@ class Assignment:
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Succession:
     """`first a then b;` ordering between sibling body members."""
 
@@ -167,34 +167,19 @@ class Succession:
 
 # --- view filter algebra ----------------------------------------------------
 
-FilterExpr = Union["FAnd", "FOr", "FNot", "FHasMeta", "FMetaEq", "FTyped", "FKind"]
+# `and`, `or` and `not` are `exprs.Binary` and `exprs.Unary` over these atoms.
+FilterExpr = Union["Binary", "Unary", "FHasMeta", "FMetaEq", "FTyped", "FKind"]
+FILTER_OPS = {"or": 1, "and": 2}  # a filter's binary operators, at their `exprs` precedences
 
 
-@dataclass(frozen=True, slots=True)
-class FAnd:
-    left: FilterExpr
-    right: FilterExpr
-
-
-@dataclass(frozen=True, slots=True)
-class FOr:
-    left: FilterExpr
-    right: FilterExpr
-
-
-@dataclass(frozen=True, slots=True)
-class FNot:
-    operand: FilterExpr
-
-
-@dataclass(frozen=True, slots=True)
+@record
 class FHasMeta:
     """`@Def` — the element carries (or inherits) any application of Def."""
 
     metadata_def: QName
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FMetaEq:
     """`@Def.attr == literal` — an effective binding equals the literal."""
 
@@ -203,14 +188,14 @@ class FMetaEq:
     literal: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FTyped:
     """`istype Q` — the element's typing chain reaches Q."""
 
     type_name: QName
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FKind:
     """`iskind part` — the element has the named kind."""
 

@@ -19,13 +19,11 @@ from .sysml_ast import (
     Assignment,
     Element,
     ElementKind,
-    FAnd,
     FHasMeta,
+    FILTER_OPS,
     FKind,
     FMetaEq,
-    FNot,
     FORMS,
-    FOr,
     FTyped,
     FilterExpr,
     Multiplicity,
@@ -126,24 +124,14 @@ def _mult_text(mult: Multiplicity) -> str:
 
 
 def filter_to_text(expr: FilterExpr) -> str:
-    return _filter_text(expr, 0)
+    return expr_to_text(expr, FILTER_OPS, _filter_atom_text)
 
 
-def _filter_text(expr: FilterExpr, parent_prec: int) -> str:
-    if isinstance(expr, FOr):
-        body = f"{_filter_text(expr.left, 1)} or {_filter_text(expr.right, 2)}"
-        prec = 1
-    elif isinstance(expr, FAnd):
-        body = f"{_filter_text(expr.left, 2)} and {_filter_text(expr.right, 3)}"
-        prec = 2
-    elif isinstance(expr, FNot):
-        body = f"not {_filter_text(expr.operand, 3)}"
-        prec = 3
-    elif isinstance(expr, FHasMeta):
-        body = "@" + qname_to_text(expr.metadata_def)
-        prec = 4
-    elif isinstance(expr, FMetaEq):
-        body = (
+def _filter_atom_text(expr: FilterExpr) -> str:
+    if isinstance(expr, FHasMeta):
+        return "@" + qname_to_text(expr.metadata_def)
+    if isinstance(expr, FMetaEq):
+        return (
             "@"
             + qname_to_text(expr.metadata_def)
             + "."
@@ -151,16 +139,11 @@ def _filter_text(expr: FilterExpr, parent_prec: int) -> str:
             + " == "
             + expr_to_text(expr.literal)
         )
-        prec = 4
-    elif isinstance(expr, FTyped):
-        body = "istype " + qname_to_text(expr.type_name)
-        prec = 4
-    elif isinstance(expr, FKind):
-        body = "iskind " + expr.kind
-        prec = 4
-    else:
-        raise UnsupportedElement(f"no rendering rule for filter node {expr!r}")
-    return f"({body})" if prec < parent_prec else body
+    if isinstance(expr, FTyped):
+        return "istype " + qname_to_text(expr.type_name)
+    if isinstance(expr, FKind):
+        return "iskind " + expr.kind
+    raise UnsupportedElement(f"no rendering rule for filter node {expr!r}")
 
 
 def _emit_element(el: Element, depth: int, lines: list[str]) -> None:
@@ -383,36 +366,7 @@ def _parse_multiplicity(ts: TokenStream) -> Multiplicity:
         raise ParseError(ts.current.span, str(exc)) from exc
 
 
-_FILTER_OPS = {"or": (1, FOr), "and": (2, FAnd)}
-_FILTER_NOT = 3  # `not` binds tighter than `and` and `or`
-
-
-def _parse_filter_expr(ts: TokenStream, min_prec: int = 1) -> FilterExpr:
-    """The filter operators that bind at least as tightly as `min_prec`."""
-    if ts.at("not"):
-        ts.enter()
-        left = FNot(_parse_filter_expr(ts, _FILTER_NOT))
-        ts.leave()
-    else:
-        left = _parse_filter_atom(ts)
-    outer = ts.depth
-    ts.depth -= 1  # each operator after a chain's first nests the chain before it: a level
-    while True:
-        op = _FILTER_OPS.get(ts.keyword())
-        if op is None or op[0] < min_prec:
-            ts.depth = outer
-            return left
-        ts.enter()
-        left = op[1](left, _parse_filter_expr(ts, op[0] + 1))
-
-
 def _parse_filter_atom(ts: TokenStream) -> FilterExpr:
-    if ts.at("("):
-        ts.enter()
-        inner = _parse_filter_expr(ts)
-        ts.expect(")")
-        ts.leave()
-        return inner
     if ts.at("@"):
         ts.take()
         path = _parse_qname(ts, "metadata definition name")
@@ -521,7 +475,7 @@ def _relationship_statement(ts: TokenStream, fields: dict) -> None:
 
 def _filter_statement(ts: TokenStream, fields: dict) -> None:
     _claim(ts, fields, "filter")
-    fields["filter"] = _parse_filter_expr(ts)
+    fields["filter"] = parse_expr(ts, FILTER_OPS, _parse_filter_atom)
     ts.expect(";")
 
 

@@ -21,18 +21,18 @@ element that ultimately supports it:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import UnknownElement, UnknownMetadataDef, UnknownType
+from .exprs import Binary, Unary
+from .source import record
 from .sysml_ast import (
     Element,
     ElementKind,
-    FAnd,
     FHasMeta,
+    FILTER_OPS,
     FKind,
     FMetaEq,
-    FNot,
-    FOr,
     FTyped,
     FilterExpr,
     ModelIndex,
@@ -43,6 +43,7 @@ from .sysml_ast import (
     iter_walk,
     qname,
     qname_text,
+    segment,
     unknown_element,
 )
 
@@ -64,14 +65,14 @@ EDGE_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceEdge:
     source: QName
     target: QName
     kind: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceGraph:
     """Nodes and edges; the node set and each node's outgoing and incoming
     edges are derived once, eagerly since slots rule out `cached_property`."""
@@ -185,8 +186,8 @@ def evaluate_filter(model: Element, expr: FilterExpr) -> set[QName]:
 
     Metadata tags are inherited through typing chains.  Raises
     UnknownMetadataDef / UnknownType when an atom names nothing in the
-    model, and UnknownElement when no such metadata definition declares
-    the attribute an atom compares.
+    model, UnknownElement when no such metadata definition declares the
+    attribute an atom compares, and TypeError for a node no filter holds.
     """
     index = ModelIndex(model)
     _validate_atoms(index, expr)
@@ -194,10 +195,10 @@ def evaluate_filter(model: Element, expr: FilterExpr) -> set[QName]:
 
 
 def _validate_atoms(index: ModelIndex, expr: FilterExpr) -> None:
-    if isinstance(expr, (FAnd, FOr)):
+    if isinstance(expr, Binary) and expr.op in FILTER_OPS:
         _validate_atoms(index, expr.left)
         _validate_atoms(index, expr.right)
-    elif isinstance(expr, FNot):
+    elif isinstance(expr, Unary) and expr.op == "not":
         _validate_atoms(index, expr.operand)
     elif isinstance(expr, (FHasMeta, FMetaEq)):
         name = expr.metadata_def[-1]
@@ -213,14 +214,16 @@ def _validate_atoms(index: ModelIndex, expr: FilterExpr) -> None:
         name = expr.type_name[-1]
         if not any(el.name == name and el.is_def for el, _ in iter_walk(index.model)):
             raise UnknownType(name)
+    elif not isinstance(expr, FKind):
+        raise TypeError(f"not a filter expression: {expr!r}")
 
 
 def _matches(index: ModelIndex, position: Position, expr: FilterExpr) -> bool:
-    if isinstance(expr, FAnd):
+    if isinstance(expr, Binary) and expr.op == "and":
         return _matches(index, position, expr.left) and _matches(index, position, expr.right)
-    if isinstance(expr, FOr):
+    if isinstance(expr, Binary) and expr.op == "or":
         return _matches(index, position, expr.left) or _matches(index, position, expr.right)
-    if isinstance(expr, FNot):
+    if isinstance(expr, Unary) and expr.op == "not":
         return not _matches(index, position, expr.operand)
     if isinstance(expr, FHasMeta):
         return any(
@@ -234,9 +237,7 @@ def _matches(index: ModelIndex, position: Position, expr: FilterExpr) -> bool:
         return any(
             _names_match(*reached, expr.type_name) for reached in index.typed_by(*position)[1:]
         )
-    if isinstance(expr, FKind):
-        return position[0].kind.value == expr.kind
-    raise TypeError(f"not a filter expression: {expr!r}")
+    return position[0].kind.value == expr.kind  # an FKind, as `_validate_atoms` checked
 
 
 def _names_match(element: Element, path: QName, type_name: QName) -> bool:
@@ -256,7 +257,7 @@ def render_view(model: Element, view_path: QName | str) -> tuple[set[QName], str
     found = index.get(path)
     if found is None and len(path) == 1:
         # Allow addressing a top-level view without the package prefix.
-        found = index.get((model.name or "",) + path)
+        found = index.get((segment(model, 0),) + path)
     if found is None or found[0].kind is not ElementKind.VIEW:
         raise unknown_element(found[1] if found else path, index.by_path)
     view, path = found

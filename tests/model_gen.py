@@ -18,12 +18,9 @@ from ssm2sysml.sysml_ast import (
     Assignment,
     Element,
     ElementKind,
-    FAnd,
     FHasMeta,
     FKind,
     FMetaEq,
-    FNot,
-    FOr,
     FTyped,
     FilterExpr,
     Multiplicity,
@@ -127,11 +124,11 @@ def gen_filter(rng: random.Random, depth: int = 2) -> FilterExpr:
     if depth > 0:
         roll = rng.random()
         if roll < 0.25:
-            return FAnd(gen_filter(rng, depth - 1), gen_filter(rng, depth - 1))
+            return Binary("and", gen_filter(rng, depth - 1), gen_filter(rng, depth - 1))
         if roll < 0.5:
-            return FOr(gen_filter(rng, depth - 1), gen_filter(rng, depth - 1))
+            return Binary("or", gen_filter(rng, depth - 1), gen_filter(rng, depth - 1))
         if roll < 0.65:
-            return FNot(gen_filter(rng, depth - 1))
+            return Unary("not", gen_filter(rng, depth - 1))
     roll = rng.random()
     if roll < 0.25:
         return FHasMeta(pick_qname(rng))
@@ -431,7 +428,7 @@ def kitchen_sink() -> Element:
                 Relationship(RelKind.SATISFIES, ("vp",)),
                 Relationship(RelKind.EXPOSES, ("core",)),
             ),
-            filter=FAnd(FHasMeta(("M",)), FNot(FKind("comment"))),
+            filter=Binary("and", FHasMeta(("M",)), Unary("not", FKind("comment"))),
         )
     )
     return Element(ElementKind.PACKAGE, name="Sink", children=tuple(members))

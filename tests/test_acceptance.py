@@ -22,11 +22,8 @@ from ssm2sysml import (
     validate_context,
 )
 from ssm2sysml.cli import main
-from ssm2sysml.exprs import EnumLit, Lit
+from ssm2sysml.exprs import Binary, EnumLit, Lit, Unary
 from ssm2sysml.sysml_ast import (
-    FAnd,
-    FNot,
-    FOr,
     RelKind,
     iter_walk,
 )
@@ -191,9 +188,9 @@ def test_criterion_6_traceability_oracle(case_model):
         b = _random_filter(rng, 2)
         sa = evaluate_filter(case_model, a)
         sb = evaluate_filter(case_model, b)
-        assert evaluate_filter(case_model, FAnd(a, b)) == sa & sb
-        assert evaluate_filter(case_model, FOr(a, b)) == sa | sb
-        assert evaluate_filter(case_model, FNot(a)) == universe - sa
+        assert evaluate_filter(case_model, Binary("and", a, b)) == sa & sb
+        assert evaluate_filter(case_model, Binary("or", a, b)) == sa | sb
+        assert evaluate_filter(case_model, Unary("not", a)) == universe - sa
 
 
 @_verdict(7, "two compile runs over the corpus are byte-identical")

@@ -827,6 +827,15 @@ def test_view_filter_is_checked_when_the_view_exposes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == "unknown metadata definition 'Nope'\n"
 
 
+def test_a_top_level_view_of_an_unnamed_package_is_found_by_its_name(tmp_path, capsys):
+    target = tmp_path / "unnamed.sysml"
+    target.write_text("package { part x; view v { expose x; } }\n")
+    assert main(["view", str(target), "v"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["view", str(target), "package@0.v"]) == 0
+    assert capsys.readouterr().out == by_name == "view 'v': 1 elements\n  part:\n    package@0.x\n"
+
+
 @pytest.mark.parametrize(
     "attribute, code", [("nope", 2), ("element", 0)], ids=["undeclared", "declared"]
 )

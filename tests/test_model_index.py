@@ -37,13 +37,11 @@ from ssm2sysml import (
     render_view,
 )
 from ssm2sysml import sysml_ast
-from ssm2sysml.exprs import EnumLit
+from ssm2sysml.exprs import Binary, EnumLit, Unary
 from ssm2sysml.sysml_ast import (
-    FAnd,
     FHasMeta,
     FKind,
     FMetaEq,
-    FNot,
     FTyped,
     ModelIndex,
     RelKind,
@@ -80,8 +78,12 @@ PROBE_VIEWS = (
         ("transformationSystem", "customerConcern"),
         FMetaEq(("CATWOE",), "element", EnumLit(("CatwoeElement",), "Actor")),
     ),
-    _view("env", ("EC1", "EC2", "manager"), FNot(FTyped(("EnvironmentalConstraints",)))),
-    _view("people", ("manager", "it", "newHire"), FAnd(FKind("individual"), FTyped(("Employee",)))),
+    _view("env", ("EC1", "EC2", "manager"), Unary("not", FTyped(("EnvironmentalConstraints",)))),
+    _view(
+        "people",
+        ("manager", "it", "newHire"),
+        Binary("and", FKind("individual"), FTyped(("Employee",))),
+    ),
     _view("nothing", ("noSuchElement",), FHasMeta(("CATWOE",))),
     _view("badMeta", ("resources",), FHasMeta(("Nonesuch",))),
     _view("badType", ("resources",), FTyped(("Nonesuch",))),

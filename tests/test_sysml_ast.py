@@ -1,11 +1,14 @@
 """AST traversal, resolution, and metadata inheritance."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
-from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 
+import ssm2sysml
 from ssm2sysml import (
     Element,
     ElementKind,
@@ -332,6 +335,42 @@ def test_a_record_refuses_assignment_and_deletion_of_any_name(cls):
     with pytest.raises(FrozenInstanceError):
         del record.foo
     assert not hasattr(record, "foo")
+
+
+def _frozen_slotted_dataclasses() -> list[type]:
+    """Every class that a module of the package defines as a frozen, slotted dataclass."""
+    found = []
+    for info in pkgutil.iter_modules(ssm2sysml.__path__):
+        module = importlib.import_module(f"ssm2sysml.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and is_dataclass(value)
+                and value.__dataclass_params__.frozen
+                and "__slots__" in vars(value)
+            ):
+                found.append(value)
+    return found
+
+
+FROZEN_SLOTTED = _frozen_slotted_dataclasses()
+
+
+def test_the_scan_finds_the_records_of_every_module():
+    names = {cls.__name__ for cls in FROZEN_SLOTTED}
+    assert {"Element", "SourceSpan", "Lit", "Relationship", "TraceEdge", "Diagnostic"} <= names
+
+
+@pytest.mark.parametrize("cls", FROZEN_SLOTTED, ids=lambda cls: cls.__qualname__)
+def test_every_frozen_slotted_record_refuses_any_assignment_or_deletion(cls):
+    """The class's own refusal, whatever the instance holds: a field or any other name."""
+    record = object.__new__(cls)
+    for name in (fields(cls)[0].name, "foo"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
 
 
 @pytest.mark.parametrize("cls", RECORDS)

@@ -15,9 +15,10 @@ from ssm2sysml import (
     UnsupportedConstruct,
     UnsupportedElement,
     emit,
+    evaluate_filter,
     parse_sysml,
 )
-from ssm2sysml.exprs import Lit, Unary, expr_to_text, parse_expr_text
+from ssm2sysml.exprs import Binary, Lit, Unary, expr_to_text, parse_expr_text
 from ssm2sysml.lexing import MAX_NESTING
 from ssm2sysml.sysml_ast import (
     DEF_KINDS,
@@ -359,6 +360,41 @@ def test_filter_precedence_round_trips():
 def test_filter_rejects_unknown_kind_word():
     with pytest.raises(ParseError):
         parse_sysml("package P { view v { filter iskind gadget; } }", "f")
+
+
+@pytest.mark.parametrize(
+    "node",
+    [Binary("+", FKind("part"), FKind("view")), Unary("-", FKind("part")), Lit(1)],
+    ids=["plus", "minus", "literal"],
+)
+def test_a_filter_node_outside_the_filter_grammar_is_refused(node):
+    """A filter's operators are `and`, `or` and `not`; any other expression node is refused
+    by `emit`, whose text would not read back, and by the evaluator, also under an `and`
+    whose left operand no element satisfies."""
+    for flt in (node, Binary("and", FKind("part"), node)):
+        model = package("P", Element(ElementKind.VIEW, name="v", filter=flt))
+        with pytest.raises(UnsupportedElement) as exc:
+            emit(model)
+        assert str(exc.value) == f"no rendering rule for filter node {node!r}"
+        with pytest.raises(TypeError) as exc:
+            evaluate_filter(model, flt)
+        assert str(exc.value) == f"not a filter expression: {node!r}"
+
+
+@pytest.mark.parametrize(
+    "text,message,column",
+    [
+        ("- @X", "expected '@', istype, iskind, '(', not, found '-'", 29),
+        ("@X + @Y", "expected ';', found '+'", 32),
+        ("(@X", "expected ')', found ';'", 32),
+    ],
+    ids=["minus", "plus", "unclosed"],
+)
+def test_a_filter_reads_only_its_own_operators(text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_sysml(f"package P {{ view v {{ filter {text}; }} }}", "f")
+    error = exc.value
+    assert (error.message, error.span.start_line, error.span.start_col) == (message, 1, column)
 
 
 @pytest.mark.parametrize("seed", range(200))

@@ -22,19 +22,16 @@ from ssm2sysml import (
     render_view,
 )
 from ssm2sysml.sysml_ast import (
-    FAnd,
     FHasMeta,
     FKind,
     FMetaEq,
-    FNot,
-    FOr,
     FTyped,
     RelKind,
     Relationship,
     iter_walk,
     qname_text,
 )
-from ssm2sysml.exprs import EnumLit, Lit
+from ssm2sysml.exprs import Binary, EnumLit, Lit, Unary
 from ssm2sysml.trace_view import EDGE_KINDS, query_json
 
 from conftest import count_elements
@@ -306,11 +303,11 @@ def _random_filter(rng: random.Random, depth: int):
         return rng.choice(atoms)
     roll = rng.random()
     if roll < 0.3:
-        return FAnd(_random_filter(rng, depth - 1), _random_filter(rng, depth - 1))
+        return Binary("and", _random_filter(rng, depth - 1), _random_filter(rng, depth - 1))
     if roll < 0.6:
-        return FOr(_random_filter(rng, depth - 1), _random_filter(rng, depth - 1))
+        return Binary("or", _random_filter(rng, depth - 1), _random_filter(rng, depth - 1))
     if roll < 0.8:
-        return FNot(_random_filter(rng, depth - 1))
+        return Unary("not", _random_filter(rng, depth - 1))
     return rng.choice(atoms)
 
 
@@ -323,13 +320,13 @@ def test_filter_algebra_laws(case_model):
         b = _random_filter(rng, 2)
         sa = evaluate_filter(case_model, a)
         sb = evaluate_filter(case_model, b)
-        assert evaluate_filter(case_model, FAnd(a, b)) == sa & sb
-        assert evaluate_filter(case_model, FOr(a, b)) == sa | sb
-        assert evaluate_filter(case_model, FNot(a)) == universe - sa
+        assert evaluate_filter(case_model, Binary("and", a, b)) == sa & sb
+        assert evaluate_filter(case_model, Binary("or", a, b)) == sa | sb
+        assert evaluate_filter(case_model, Unary("not", a)) == universe - sa
         # De Morgan, via the engine on both sides.
-        assert evaluate_filter(case_model, FNot(FAnd(a, b))) == evaluate_filter(
-            case_model, FOr(FNot(a), FNot(b))
-        )
+        assert evaluate_filter(
+            case_model, Unary("not", Binary("and", a, b))
+        ) == evaluate_filter(case_model, Binary("or", Unary("not", a), Unary("not", b)))
 
 
 # --- views -------------------------------------------------------------------
